@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .core import Point
-from .convex import Box, GeneratedConvexSet, box_intersects_hull, bounding_box, hull_contains
+from .convex import GeneratedConvexSet, box_intersects_hull, bounding_box, hull_contains
 from .errors import MaxMinError, ParseError
 from .oracle import Grid
 from .semispaces import (
     HemispaceDescriptor,
-    SemispaceDescriptor,
     hemispace_avoids_box,
     hemispace_contains,
     semispace_avoids_box,
@@ -117,27 +117,31 @@ def _check(checks: list, name: str, ok: bool) -> None:
     checks.append({"check": name, "ok": bool(ok)})
 
 
+def _grid_sweep(grid: Grid, region, member, inside: bool = True) -> bool:
+    """Whether every grid point in region lies inside member (outside it
+    when inside is False)."""
+    return all(member(p) == inside for p in grid.points() if region(p))
+
+
 def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, checks: list) -> None:
     if inst.box is None:
         raise ParseError("certificate instance lacks a box")
     B = inst.box
     C = _single_set(inst)
+    in_hull = partial(hull_contains, C)
     outcome = data.get("outcome")
     if outcome == SEMISPACE:
         S = serialize.descriptor_from_dict(data["separator"])
         if isinstance(S, HemispaceDescriptor):
             raise ParseError("semispace outcome carries a hemispace descriptor")
+        in_S = partial(semispace_contains, S)
         _check(checks, "set inside separator", set_in_semispace(C, S) is None)
         _check(checks, "separator misses box", semispace_avoids_box(S, B))
-        _check(
-            checks,
-            "grid hull points inside separator",
-            all(semispace_contains(S, p) for p in grid.points() if hull_contains(C, p)),
-        )
+        _check(checks, "grid hull points inside separator", _grid_sweep(grid, in_hull, in_S))
         _check(
             checks,
             "no grid box point inside separator",
-            not any(semispace_contains(S, p) for p in grid.points() if B.contains_point(p)),
+            _grid_sweep(grid, B.contains_point, in_S, inside=False),
         )
     elif outcome == HEMISPACE:
         H = serialize.descriptor_from_dict(data["separator"])
@@ -148,7 +152,7 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
         _check(
             checks,
             "grid hull points inside separator",
-            all(hemispace_contains(H, p) for p in grid.points() if hull_contains(C, p)),
+            _grid_sweep(grid, in_hull, partial(hemispace_contains, H)),
         )
     elif outcome == NOT_SEPARABLE:
         witness = serialize.point_from_list(data["witness"])
@@ -173,7 +177,7 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
 
 def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid, checks: list) -> None:
     C1, C2 = _two_sets(inst)
-    boxed = int(data.get("boxed_set", 0))
+    boxed = serialize.json_int(data.get("boxed_set"), "boxed_set")
     if boxed not in (1, 2):
         raise ParseError("two-set certificate needs boxed_set 1 or 2")
     box = serialize.box_from_dict(data["box"])
@@ -184,7 +188,7 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid
     _check(
         checks,
         "no grid point of the other hull in the box",
-        not any(box.contains_point(p) for p in grid.points() if hull_contains(other, p)),
+        _grid_sweep(grid, partial(hull_contains, other), box.contains_point, inside=False),
     )
     if data.get("semispace") is not None:
         S = serialize.descriptor_from_dict(data["semispace"])
@@ -195,7 +199,7 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid
         _check(
             checks,
             "no grid box point inside semispace",
-            not any(semispace_contains(S, p) for p in grid.points() if box.contains_point(p)),
+            _grid_sweep(grid, box.contains_point, partial(semispace_contains, S), inside=False),
         )
 
 

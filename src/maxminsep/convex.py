@@ -49,10 +49,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.dim
 
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
     def contains_point(self, p: Point) -> bool:
         return self.lower <= p and p <= self.upper
 
@@ -60,21 +56,6 @@ class Box:
 def principal_coefficients(C: GeneratedConvexSet, cap: Point) -> tuple[Fraction, ...]:
     """Greatest λ_j with (λ_j ∧ v_j) ≤ cap, one per generator."""
     return tuple(greatest_meet_coefficient(v, cap) for v in C.generators)
-
-
-def hull_contains(C: GeneratedConvexSet, y: Point) -> bool:
-    """Exact hull membership via the principal coefficient vector.
-
-    Any witness coefficients are dominated by the principal ones, whose
-    combination still lies below y; membership therefore holds iff the
-    principal combination reconstructs y and some coefficient reaches 1.
-    """
-    check_same_dim(C.generators[0], y)
-    lam = principal_coefficients(C, y)
-    if max(lam) != ONE:
-        return False
-    combo = join(*(scale_meet(l, v) for l, v in zip(lam, C.generators)))
-    return combo == y
 
 
 def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
@@ -90,6 +71,12 @@ def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
     if max(lam) != ONE:
         return None
     return join(*(scale_meet(l, v) for l, v in zip(lam, C.generators)))
+
+
+def hull_contains(C: GeneratedConvexSet, y: Point) -> bool:
+    """Exact hull membership: y is a hull point iff it is the greatest hull
+    point below itself."""
+    return greatest_below(C, y) == y
 
 
 def box_hull_witness(B: Box, C: GeneratedConvexSet) -> Point | None:

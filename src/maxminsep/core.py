@@ -13,8 +13,6 @@ from typing import Iterator
 
 from .errors import DimensionError
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -80,6 +78,15 @@ class Point:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def descending_order(values) -> tuple[int, ...]:
+    """Indices that sort values descending, ties in ascending index order.
+
+    This one tie-break fixes every sorted position the library reports, so
+    certificate bytes depend on it.
+    """
+    return tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
 
 
 def check_same_dim(*objects) -> int:

@@ -25,14 +25,16 @@ from .semispaces import (
 )
 
 
+MAX_GRID_POINTS = 2_000_000
+
+
 @dataclass(frozen=True)
 class Grid:
     """The uniform grid {0, 1/d, ..., 1}^n; contains 0 and 1 and is closed
-    under min and max.  Enumerations refuse to run past max_points."""
+    under min and max.  Enumerations refuse to run past MAX_GRID_POINTS."""
 
     denominator: int
     dimension: int
-    max_points: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.denominator < 1:
@@ -49,9 +51,9 @@ class Grid:
         return tuple(Fraction(k, d) for k in range(d + 1))
 
     def guard(self) -> None:
-        if self.size > self.max_points:
+        if self.size > MAX_GRID_POINTS:
             raise ResourceLimitError(
-                f"grid holds {self.size} points, above the {self.max_points} bound"
+                f"grid holds {self.size} points, above the {MAX_GRID_POINTS} bound"
             )
 
     def points(self) -> Iterator[Point]:
@@ -139,10 +141,11 @@ def brute_separation_search(
 ) -> SemispaceDescriptor | None:
     """First semispace at a grid point that contains C and misses B.
 
-    Enumerates grid points lexicographically and each point's family in
-    order; completely independent of the constructive pipeline.  Returns
-    None when no grid candidate separates (in particular whenever box and
-    hull intersect).
+    Box corners and generators must lie on the grid (ValueError
+    otherwise).  Enumerates grid points lexicographically and each point's
+    family in order; completely independent of the constructive pipeline.
+    Returns None when no grid candidate separates (in particular whenever
+    box and hull intersect).
     """
     check_same_dim(B.lower, C.generators[0])
     for corner in (B.lower, B.upper):
@@ -151,6 +154,15 @@ def brute_separation_search(
     for v in C.generators:
         if not grid.contains(v):
             raise ValueError(f"generator {v} is not on the 1/{grid.denominator} grid")
+    return first_grid_separator(B, C, grid)
+
+
+def first_grid_separator(
+    B: Box, C: GeneratedConvexSet, grid: Grid
+) -> SemispaceDescriptor | None:
+    """First semispace at a grid point, in grid order and family order, that
+    contains C and misses B; None when there is none.  B and C may lie off
+    the grid."""
     for x0 in grid.points():
         for S in semispace_family(x0):
             if set_in_semispace(C, S) is None and semispace_avoids_box(S, B):

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .core import ONE, ZERO, Point, check_same_dim, join
+from .core import ONE, ZERO, Point, join
 from .convex import (
     Box,
     GeneratedConvexSet,
@@ -30,7 +29,7 @@ from .errors import (
     IntersectionError,
 )
 from .semispaces import SemispaceDescriptor
-from .separation import SEMISPACE, SeparationCertificate, separate_box
+from .separation import SEMISPACE, separate_box
 
 
 class RegionLabel(Enum):
@@ -54,12 +53,6 @@ class PlanarExtremes:
     b: Point
     c: Point
     B0: Box
-    x_a: Fraction
-    y_a: Fraction
-    x_b: Fraction
-    y_b: Fraction
-    x_c: Fraction
-    y_c: Fraction
 
 
 @dataclass(frozen=True)
@@ -83,20 +76,7 @@ def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:
     # min is stable, so full ties fall back to input order by themselves
     a = min(gens, key=lambda p: (p[0], p[1]))
     b = min(gens, key=lambda p: (p[1], p[0]))
-    c = join(*gens)
-    box = bounding_box(C)
-    return PlanarExtremes(
-        a=a,
-        b=b,
-        c=c,
-        B0=box,
-        x_a=a[0],
-        y_a=a[1],
-        x_b=b[0],
-        y_b=b[1],
-        x_c=c[0],
-        y_c=c[1],
-    )
+    return PlanarExtremes(a=a, b=b, c=join(*gens), B0=bounding_box(C))
 
 
 def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
@@ -111,11 +91,11 @@ def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
     if not E.B0.contains_point(p):
         return RegionLabel.OUTSIDE
     x, y = p[0], p[1]
-    if x < E.x_b and y < E.y_a:
+    if x < E.b[0] and y < E.a[1]:
         return RegionLabel.T1
-    if y > E.y_a and x < E.x_c and y > x:
+    if y > E.a[1] and x < E.c[0] and y > x:
         return RegionLabel.T2
-    if x > E.x_b and y < E.y_c and y < x:
+    if x > E.b[0] and y < E.c[1] and y < x:
         return RegionLabel.T3
     triangle = GeneratedConvexSet((E.a, E.b, E.c))
     if not hull_contains(triangle, p):

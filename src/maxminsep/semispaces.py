@@ -1,145 +1,77 @@
 """Semispaces of the unit cube under max-min convexity.
 
 A semispace at x0 is a maximal max-min convex set avoiding x0.  At every
-point they form a finite family indexed 0..n in terms of the coordinate
-order that sorts x0 descending:
+point they form a finite family: the upper type and at most one semispace
+per coordinate i, listed in the order that sorts x0 descending:
 
-  index 0:      {x : x_i > x0_i for some i}
-  index i ≥ 1:  {x : x_i < x0_i, or x_m > x0_m for some m with x0_m < x0_i}
+  upper type:    {x : x_k > x0_k for some k}
+  coordinate i:  {x : x_i < x0_i, or x_m > x0_m for some m with x0_m < x0_i}
 
 The second form is a single predicate covering both displayed shapes of the
 family (equal blocks and strictly decreasing stretches of the sorted
 coordinates): the clause set {m : x0_m < x0_i} is exactly "every position
-after the block of i" in sorted order.  Which indices actually belong to
-the family depends on the coordinates of x0 that sit on the cube boundary;
-see semispace_family.
+after the block of i" in sorted order.  A descriptor holds what the wire
+format holds, x0 and the coordinate i (None for the upper type).  Which
+members actually belong to the family depends on the coordinates of x0
+that sit on the cube boundary; see semispace_family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import ONE, ZERO, Point, check_same_dim
+from .core import ONE, ZERO, Point, check_same_dim, descending_order
 from .convex import Box, GeneratedConvexSet
 
 
 @dataclass(frozen=True)
 class SortedProfile:
-    """Bookkeeping for one point sorted into descending coordinate order.
+    """One point sorted into descending coordinate order.
 
     perm maps 1-based sorted positions to 0-based original coordinates
-    (stable: ties keep original order).  blocks lists (k_j, l_j) pairs of
-    maximal equal stretches k_j and strictly decreasing stretches l_j; the
-    canonical scan emits every maximal equal stretch as a block, so l_j is
-    always 0 here, but cumulative ends K_j, L_j follow the general formulas
-    and downstream predicates do not depend on the split.  beta is the
+    (ties keep original order, see core.descending_order).  beta is the
     1-based sorted position of the first zero coordinate (None if x0 has no
     zero); has_one says whether some coordinate equals 1.
     """
 
-    point: Point
     perm: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
-    K: tuple[int, ...]
-    L: tuple[int, ...]
     beta: int | None
     has_one: bool
 
-    def sorted_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.point[o] for o in self.perm)
-
-    def position_of(self, original: int) -> int:
-        """1-based sorted position of a 0-based original coordinate."""
-        return self.perm.index(original) + 1
-
 
 def sorted_profile(x0: Point) -> SortedProfile:
-    """Sort x0 descending (stable) and record block structure."""
-    n = x0.dim
-    perm = tuple(sorted(range(n), key=lambda i: (-x0[i], i)))
+    """Sort x0 descending and locate its first zero and any one."""
+    perm = descending_order(x0)
     values = [x0[o] for o in perm]
-    blocks: list[tuple[int, int]] = []
-    K: list[int] = []
-    L: list[int] = []
-    end = 0
-    pos = 0
-    while pos < n:
-        run = pos
-        while run < n and values[run] == values[pos]:
-            run += 1
-        k_j = run - pos
-        blocks.append((k_j, 0))
-        end += k_j
-        K.append(end)
-        L.append(end)
-        pos = run
-    beta = None
-    for p, v in enumerate(values, start=1):
-        if v == ZERO:
-            beta = p
-            break
-    return SortedProfile(
-        point=x0,
-        perm=perm,
-        blocks=tuple(blocks),
-        K=tuple(K),
-        L=tuple(L),
-        beta=beta,
-        has_one=values[0] == ONE,
-    )
+    beta = next((p for p, v in enumerate(values, start=1) if v == ZERO), None)
+    return SortedProfile(perm=perm, beta=beta, has_one=values[0] == ONE)
 
 
 @dataclass(frozen=True)
 class SemispaceDescriptor:
-    """One semispace: defining point, 1-based sorted index (0 = upper type),
-    and the sorting permutation tying sorted positions to coordinates.
+    """One semispace: defining point and the 0-based coordinate its first
+    clause tests, None for the upper type.
 
-    The membership predicate is well-defined for any x0 and index; whether
-    the descriptor is a genuine family member is decided by
+    The membership predicate is well-defined for any x0 and coordinate;
+    whether the descriptor is a genuine family member is decided by
     semispace_family.  The defining point never satisfies the predicate.
     """
 
     x0: Point
-    index: int
-    perm: tuple[int, ...]
+    coordinate: int | None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index <= self.x0.dim:
-            raise ValueError(f"semispace index {self.index} outside 0..{self.x0.dim}")
-
-    @classmethod
-    def s0(cls, x0: Point) -> "SemispaceDescriptor":
-        return cls(x0, 0, sorted_profile(x0).perm)
-
-    @classmethod
-    def at_sorted_position(cls, x0: Point, position: int) -> "SemispaceDescriptor":
-        return cls(x0, position, sorted_profile(x0).perm)
-
-    @classmethod
-    def at_original_coordinate(cls, x0: Point, original: int) -> "SemispaceDescriptor":
-        profile = sorted_profile(x0)
-        return cls(x0, profile.position_of(original), profile.perm)
-
-    @property
-    def original_index(self) -> int:
-        """0-based coordinate the first clause tests (index ≥ 1 only)."""
-        if self.index == 0:
-            raise ValueError("the upper-type semispace has no coordinate index")
-        return self.perm[self.index - 1]
-
-    @property
-    def threshold(self) -> Fraction:
-        return self.x0[self.original_index]
+        if self.coordinate is not None and not 0 <= self.coordinate < self.x0.dim:
+            raise ValueError(f"semispace coordinate {self.coordinate} outside 0..{self.x0.dim - 1}")
 
     def canonical_form(self):
         """Hashable identity of the point set the descriptor denotes."""
-        if self.index == 0:
+        if self.coordinate is None:
             return ("S0", self.x0.coords)
-        tau = self.threshold
+        tau = self.x0[self.coordinate]
         clauses = frozenset(
             (m, self.x0[m]) for m in range(self.x0.dim) if self.x0[m] < tau
         )
-        return ("Si", self.original_index, tau, clauses)
+        return ("Si", self.coordinate, tau, clauses)
 
 
 @dataclass(frozen=True)
@@ -160,10 +92,9 @@ class HemispaceDescriptor:
 def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
     """Evaluate the membership predicate exactly."""
     check_same_dim(S.x0, x)
-    x0 = S.x0
-    if S.index == 0:
+    x0, o = S.x0, S.coordinate
+    if o is None:
         return any(x[i] > x0[i] for i in range(x0.dim))
-    o = S.original_index
     tau = x0[o]
     if x[o] < tau:
         return True
@@ -176,22 +107,18 @@ def hemispace_contains(H: HemispaceDescriptor, x: Point) -> bool:
 
 
 def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
-    """All semispaces at x0, upper type first, then sorted positions ascending.
+    """All semispaces at x0, upper type first, then the coordinates in
+    descending sorted order.
 
-    Finite x0 gets all of 0..n.  A coordinate equal to 1 makes the upper
-    type non-maximal (it sinks into the semispace at that coordinate), so
-    index 0 is dropped.  Indices at and after the first zero coordinate
-    denote empty sets and are dropped: beta zeroes truncate the range to
-    positions before beta.
+    Finite x0 gets all n+1.  A coordinate equal to 1 makes the upper type
+    non-maximal (it sinks into the semispace at that coordinate), so it is
+    dropped.  Sorted positions at and after the first zero coordinate beta
+    denote empty sets and are dropped too.
     """
     profile = sorted_profile(x0)
-    n = x0.dim
-    last = n if profile.beta is None else profile.beta - 1
-    family: list[SemispaceDescriptor] = []
-    if not profile.has_one:
-        family.append(SemispaceDescriptor(x0, 0, profile.perm))
-    for position in range(1, last + 1):
-        family.append(SemispaceDescriptor(x0, position, profile.perm))
+    last = x0.dim if profile.beta is None else profile.beta - 1
+    family = [SemispaceDescriptor(x0, None)] if not profile.has_one else []
+    family += [SemispaceDescriptor(x0, o) for o in profile.perm[:last]]
     return family
 
 
@@ -204,10 +131,9 @@ def semispace_avoids_box(S: SemispaceDescriptor, B: Box) -> bool:
     watches (upper ≤ x0 on {m : x0_m < threshold}).
     """
     check_same_dim(S.x0, B.lower)
-    x0 = S.x0
-    if S.index == 0:
+    x0, o = S.x0, S.coordinate
+    if o is None:
         return B.upper <= x0
-    o = S.original_index
     tau = x0[o]
     if B.lower[o] < tau:
         return False

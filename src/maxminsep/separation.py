@@ -1,11 +1,16 @@
 """Certified separation of a box from a finitely generated max-min convex set.
 
 separate_box produces, for disjoint inputs, either a semispace containing
-the generated set and missing the box, a hemispace doing the same when no
-semispace can, or a non-separability witness: a hull point that is ≥ the
-box lower bound everywhere and beats the box upper bound only on sorted
-positions up to the box profile threshold t.  Such a point rules out every
-semispace at once, which is what check_sep_cond reports.
+the generated set and missing the box, a hemispace doing the same when the
+semispace candidates fail, or a not-separable outcome with a witness: a
+hull point that is ≥ the box lower bound everywhere and beats the box upper
+bound only on sorted positions up to the box profile threshold t.
+
+The witness alone does not rule out every semispace.  For the box
+[0.2,0.8]×[0.2,0.5] and C = {(0.9,0.9)} the generator is such a point, yet
+the upper-type semispace at (0.8,0.5) separates.  The not-separable
+outcome means that every candidate of the pipeline failed;
+assert_nonseparable confirms it by exhaustive grid search.
 
 The pipeline spends at most n+1 containment sweeps over the generators
 (oracle_calls in the certificate).  Every returned separator is re-checked
@@ -13,18 +18,18 @@ defensively: containment of the set and emptiness against the box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, Point, check_same_dim, join, scale_meet
+from .core import ONE, Point, check_same_dim, descending_order, join, scale_meet
 from .convex import Box, GeneratedConvexSet, box_hull_witness
-from .errors import DimensionError, InternalError, IntersectionError, ResourceLimitError
+from .errors import InternalError, IntersectionError
+from .oracle import Grid, first_grid_separator
 from .semispaces import (
     HemispaceDescriptor,
     SemispaceDescriptor,
     hemispace_avoids_box,
     semispace_avoids_box,
-    semispace_family,
     set_in_semispace,
 )
 
@@ -46,7 +51,6 @@ class BoxProfile:
     its maximum coordinate is exactly lower_l.
     """
 
-    box: Box
     upper_perm: tuple[int, ...]
     t: int
     l: int
@@ -65,7 +69,6 @@ class PartitionStage:
 
 @dataclass(frozen=True)
 class PartitionProfile:
-    box: Box
     lower_perm: tuple[int, ...]
     stages: tuple[PartitionStage, ...]
 
@@ -95,10 +98,18 @@ class SeparationCertificate:
         return self.outcome in (SEMISPACE, HEMISPACE)
 
 
+def _unsort(perm: tuple[int, ...], values) -> Point:
+    """The point whose coordinate perm[q] is values[q]: undo a sort."""
+    coords = [None] * len(perm)
+    for o, v in zip(perm, values):
+        coords[o] = v
+    return Point(tuple(coords))
+
+
 def box_profile(B: Box) -> BoxProfile:
     """Sort upper bounds descending and locate the threshold t and level u."""
     n = B.dim
-    perm = tuple(sorted(range(n), key=lambda i: (-B.upper[i], i)))
+    perm = descending_order(B.upper)
     ups = [B.upper[o] for o in perm]
     lows = [B.lower[o] for o in perm]
     prefix_max = []
@@ -109,10 +120,7 @@ def box_profile(B: Box) -> BoxProfile:
     t = next(p for p in range(n, 0, -1) if ups[p - 1] >= prefix_max[p - 1])
     peak = prefix_max[t - 1]
     l = next(p for p in range(1, t + 1) if lows[p - 1] == peak)
-    u_coords = [None] * n
-    for p in range(1, n + 1):
-        u_coords[perm[p - 1]] = peak if p <= t else ups[p - 1]
-    return BoxProfile(box=B, upper_perm=perm, t=t, l=l, u=Point(tuple(u_coords)))
+    return BoxProfile(upper_perm=perm, t=t, l=l, u=_unsort(perm, [peak] * t + ups[t:]))
 
 
 def lower_partition(B: Box) -> PartitionProfile:
@@ -126,7 +134,7 @@ def lower_partition(B: Box) -> PartitionProfile:
     it lies inside [lower, upper] of every remaining position ≥ s.
     """
     n = B.dim
-    perm = tuple(sorted(range(n), key=lambda i: (-B.lower[i], i)))
+    perm = descending_order(B.lower)
     lows = [B.lower[o] for o in perm]
     ups = [B.upper[o] for o in perm]
     remaining = set(range(1, n + 1))
@@ -156,17 +164,7 @@ def lower_partition(B: Box) -> PartitionProfile:
             break
     else:
         raise InternalError("lower partition exceeded the dimension bound")
-    return PartitionProfile(box=B, lower_perm=perm, stages=tuple(stages))
-
-
-def _certificate(outcome, separator, witness, calls, trace):
-    return SeparationCertificate(
-        outcome=outcome,
-        separator=separator,
-        witness=witness,
-        oracle_calls=calls,
-        trace=tuple(trace),
-    )
+    return PartitionProfile(lower_perm=perm, stages=tuple(stages))
 
 
 def separate_box(
@@ -212,18 +210,18 @@ def separate_box(
                 raise InternalError("pipeline candidate contains the set but meets the box")
         return w
 
+    def done(outcome, separator=None, witness=None):
+        return SeparationCertificate(outcome, separator, witness, calls, tuple(trace))
+
     profile = box_profile(B)
     if all(v < ONE for v in B.upper):
-        S = SemispaceDescriptor.s0(B.upper)
+        S = SemispaceDescriptor(B.upper, None)
         y = sweep(S, stage=1)
-        if y is None:
-            return _certificate(SEMISPACE, S, None, calls, trace)
     else:
-        origin = profile.upper_perm[profile.l - 1]
-        S = SemispaceDescriptor.at_original_coordinate(profile.u, origin)
+        S = SemispaceDescriptor(profile.u, profile.upper_perm[profile.l - 1])
         y = sweep(S, stage=2)
-        if y is None:
-            return _certificate(SEMISPACE, S, None, calls, trace)
+    if y is None:
+        return done(SEMISPACE, S)
 
     part = lower_partition(B)
     perm = part.lower_perm
@@ -253,13 +251,10 @@ def separate_box(
                 ups[q - 1] if q in prior else (lows[q - 1] if q < p else lows[p - 1])
                 for q in range(1, n + 1)
             ]
-            u_coords = [None] * n
-            for q in range(1, n + 1):
-                u_coords[perm[q - 1]] = u_sorted[q - 1]
-            S = SemispaceDescriptor.at_original_coordinate(Point(tuple(u_coords)), perm[p - 1])
+            S = SemispaceDescriptor(_unsort(perm, u_sorted), perm[p - 1])
             w = sweep(S, stage=3, iteration=iteration, position=p)
             if w is None:
-                return _certificate(SEMISPACE, S, None, calls, trace)
+                return done(SEMISPACE, S)
             witnesses.append(w)
         level = stages[k].level
         y = join(y, *(scale_meet(level, w) for w in witnesses))
@@ -278,18 +273,15 @@ def separate_box(
         H = HemispaceDescriptor(B.upper, M)
         w = sweep(H, stage=4)
         if w is None:
-            return _certificate(HEMISPACE, H, None, calls, trace)
-    return _certificate(NOT_SEPARABLE, None, y, calls, trace)
+            return done(HEMISPACE, H)
+    return done(NOT_SEPARABLE, witness=y)
 
 
 def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:
-    """Decide the box-side condition that makes semispace separation possible.
+    """Decide whether the pipeline separates B from C by a semispace.
 
-    Returns None when the condition holds, else a violating hull point:
-    one that dominates the box lower bounds and beats an upper bound at a
-    sorted position ≤ t of the box profile (only possible when some upper
-    bound is 1).  The condition holds vacuously whenever every upper bound
-    is below 1, and always for point boxes.
+    Returns None when it does, else the witness of its not-separable
+    outcome (see the module docstring for what that witness shows).
     """
     cert = separate_box(B, C, with_fallback=False)
     if cert.outcome == NOT_SEPARABLE:
@@ -300,22 +292,14 @@ def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:
 def assert_nonseparable(B: Box, C: GeneratedConvexSet, grid_step: Fraction) -> bool:
     """Exhaustively confirm that no semispace at a grid point separates.
 
-    Enumerates every grid point x0 and every family member at x0, checking
-    set containment and box avoidance.  Desk-scale referee for the
+    Box and set need not lie on the grid.  Desk-scale referee for the
     NOT_SEPARABLE outcome; True means no grid candidate separates.
     """
     check_same_dim(B.lower, C.generators[0])
     shared = box_hull_witness(B, C)
     if shared is not None:
         raise IntersectionError(f"box and hull share the point {shared}", witness=shared)
-    from .oracle import Grid
-
     step = Fraction(grid_step)
     if step <= 0 or step > 1 or step.numerator != 1:
         raise ValueError(f"grid step must be 1/d for an integer d, got {step}")
-    grid = Grid(denominator=step.denominator, dimension=B.dim)
-    for x0 in grid.points():
-        for S in semispace_family(x0):
-            if set_in_semispace(C, S) is None and semispace_avoids_box(S, B):
-                return False
-    return True
+    return first_grid_separator(B, C, Grid(step.denominator, B.dim)) is None

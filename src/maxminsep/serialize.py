@@ -30,6 +30,13 @@ def parse_scalar(text: str) -> Fraction:
         raise ParseError(f"bad scalar {text!r}: {exc}") from None
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_scalar(v: Fraction) -> str:
     """Canonical exact string: decimal when the denominator allows it."""
     v = Fraction(v)
@@ -90,9 +97,9 @@ def descriptor_to_dict(S: SemispaceDescriptor | HemispaceDescriptor) -> dict:
             "x0": point_to_list(S.x0),
             "M": sorted(i + 1 for i in S.M),
         }
-    if S.index == 0:
+    if S.coordinate is None:
         return {"type": "S0", "x0": point_to_list(S.x0)}
-    return {"type": "Si", "x0": point_to_list(S.x0), "i": S.original_index + 1}
+    return {"type": "Si", "x0": point_to_list(S.x0), "i": S.coordinate + 1}
 
 
 def descriptor_from_dict(data) -> SemispaceDescriptor | HemispaceDescriptor:
@@ -105,19 +112,16 @@ def descriptor_from_dict(data) -> SemispaceDescriptor | HemispaceDescriptor:
         if not isinstance(members, list):
             raise ParseError("M must be a list of 1-based coordinate indices")
         try:
-            return HemispaceDescriptor(x0, frozenset(int(i) - 1 for i in members))
+            return HemispaceDescriptor(x0, frozenset(json_int(i, "M entry") - 1 for i in members))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     if kind == "S0":
-        return SemispaceDescriptor.s0(x0)
+        return SemispaceDescriptor(x0, None)
     if kind == "Si":
-        try:
-            original = int(data["i"]) - 1
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("an Si descriptor needs a 1-based integer field i") from None
+        original = json_int(data.get("i"), "the 1-based field i of an Si descriptor") - 1
         if not 0 <= original < x0.dim:
             raise ParseError(f"coordinate index {data['i']} outside 1..{x0.dim}")
-        return SemispaceDescriptor.at_original_coordinate(x0, original)
+        return SemispaceDescriptor(x0, original)
     raise ParseError(f"unknown descriptor type {kind!r}")
 
 
@@ -149,10 +153,7 @@ def instance_from_dict(data) -> Instance:
     unknown = set(data) - {"dimension", "box", "sets", "options"}
     if unknown:
         raise ParseError(f"unknown instance fields: {sorted(unknown)}")
-    try:
-        n = int(data["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("instance needs an integer dimension") from None
+    n = json_int(data.get("dimension"), "the instance dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
     box = box_from_dict(data["box"]) if data.get("box") is not None else None
@@ -170,11 +171,13 @@ def instance_from_dict(data) -> Instance:
     unknown = set(raw) - {"grid", "fallback"}
     if unknown:
         raise ParseError(f"unknown options: {sorted(unknown)}")
-    grid = int(raw.get("grid", 10))
+    grid = json_int(raw.get("grid", 10), "options.grid")
     if grid < 1:
         raise ParseError("options.grid must be a positive integer")
-    options = Options(grid=grid, fallback=bool(raw.get("fallback", True)))
-    return Instance(dimension=n, box=box, sets=sets, options=options)
+    fallback = raw.get("fallback", True)
+    if not isinstance(fallback, bool):
+        raise ParseError(f"options.fallback must be a JSON boolean, got {fallback!r}")
+    return Instance(dimension=n, box=box, sets=sets, options=Options(grid, fallback))
 
 
 def instance_to_dict(inst: Instance) -> dict:

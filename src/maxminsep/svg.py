@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ONE, Point
 from .convex import Box, GeneratedConvexSet, hull_contains
 from .errors import DimensionError
 from .oracle import Grid
@@ -42,18 +41,13 @@ def _halfplane_strips(S: SemispaceDescriptor | HemispaceDescriptor) -> list[tupl
     strips = []
     if isinstance(S, HemispaceDescriptor):
         watched = sorted(S.M)
-        lower_strip = None
-    elif S.index == 0:
+    elif S.coordinate is None:
         watched = range(S.x0.dim)
-        lower_strip = None
     else:
-        o = S.original_index
+        o = S.coordinate
         tau = S.x0[o]
-        lower_strip = (o, tau)
-        watched = [m for m in range(S.x0.dim) if S.x0[m] < tau]
-    if lower_strip is not None:
-        o, tau = lower_strip
         strips.append((0, 0, tau, 1) if o == 0 else (0, 0, 1, tau))
+        watched = [m for m in range(S.x0.dim) if S.x0[m] < tau]
     for m in watched:
         theta = S.x0[m]
         strips.append((theta, 0, 1, 1) if m == 0 else (0, theta, 1, 1))

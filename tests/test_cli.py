@@ -23,6 +23,11 @@ BLOCKED = {
     "options": {"grid": 10, "fallback": True},
 }
 
+# the generator dominates the box lower bounds and escapes the upper bounds
+# only inside the box profile threshold, yet the upper-type semispace at the
+# upper corner of the box separates
+ESCAPING = dict(SEPARABLE, sets={"C": [["0.9", "0.9"]]}, options={"grid": 10})
+
 TWO_SETS = {
     "dimension": 2,
     "box": None,
@@ -85,6 +90,17 @@ class TestSeparateBox:
         code, _, err = run(capsys, ["separate-box", "-i", inst])
         assert code == 1
         assert "error:" in err
+
+    def test_coerced_json_types_are_rejected(self, tmp_path, capsys):
+        for bad in (
+            dict(BLOCKED, options={"fallback": "false"}),
+            {"dimension": True, "box": {"lower": ["0.2"], "upper": ["0.5"]}, "sets": {"C": [["0.8"]]}},
+        ):
+            inst = write_instance(tmp_path, bad)
+            code, out, err = run(capsys, ["separate-box", "-i", inst])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_float_coordinates_are_rejected(self, tmp_path, capsys):
         bad = dict(SEPARABLE, sets={"C": [[0.1, 0.8]]})
@@ -156,6 +172,17 @@ class TestCheckCond:
         assert data["holds"] is False
         assert data["witness"] == ["0.4", "0.8"]
 
+    def test_dominating_generator_does_not_block(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, ESCAPING)
+        code, out, _ = run(capsys, ["separate-box", "-i", inst])
+        assert code == 0
+        data = json.loads(out)
+        assert data["outcome"] == "semispace"
+        assert data["separator"] == {"type": "S0", "x0": ["0.8", "0.5"]}
+        code, out, _ = run(capsys, ["check-cond", "-i", inst])
+        assert code == 0
+        assert json.loads(out) == {"holds": True, "witness": None}
+
 
 class TestVerify:
     def emit_certificate(self, tmp_path, capsys, instance, extra=()):
@@ -202,6 +229,32 @@ class TestVerify:
         report = json.loads(out)
         assert report["valid"] is False
         assert any(not c["ok"] for c in report["checks"])
+
+    def test_false_negative_certificate_is_invalid(self, tmp_path, capsys):
+        # the witness passes its three checks; only the grid search sees
+        # that a semispace separates
+        _, cert_path = self.emit_certificate(tmp_path, capsys, ESCAPING)
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data.update(outcome="not-separable", separator=None, witness=["0.9", "0.9"])
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        report = json.loads(out)
+        assert report["valid"] is False
+        failed = [c["check"] for c in report["checks"] if not c["ok"]]
+        assert failed == ["no grid semispace separates"]
+
+    def test_boxed_set_must_be_an_integer(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, TWO_SETS)
+        cert_path = tmp_path / "cert.json"
+        run(capsys, ["separate-2d", "-i", inst, "-o", str(cert_path)])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data["boxed_set"] = True
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_two_set_certificate_verifies(self, tmp_path, capsys):
         inst = write_instance(tmp_path, TWO_SETS)

@@ -124,7 +124,7 @@ class TestRegionClassify:
                 p
                 for p in grid.points()
                 if E.B0.contains_point(p)
-                and p[1] >= E.y_a
+                and p[1] >= E.a[1]
                 and p[0] <= E.c[0]
                 and p[1] >= p[0]
             ]
@@ -189,7 +189,7 @@ class TestSeparateBoxSemispace:
         assert cert.boxed_set == 1
         assert cert.box == box("0.55,0.65", "0.85,0.95")
         assert S.x0 == pt("0.55,0.65")
-        assert S.original_index == 0
+        assert S.coordinate == 0
 
     def test_three_conditions_hold(self):
         r = rng(22)

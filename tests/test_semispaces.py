@@ -33,20 +33,29 @@ def points(n: int, coord=coord6):
 
 class TestSortedProfile:
     def test_worked_example(self):
-        profile = sorted_profile(pt("0.3,0.7,0.7,0"))
+        x0 = pt("0.3,0.7,0.7,0")
+        profile = sorted_profile(x0)
         assert profile.perm == (1, 2, 0, 3)
-        assert profile.sorted_values() == (
+        assert [x0[o] for o in profile.perm] == [
             Fraction(7, 10), Fraction(7, 10), Fraction(3, 10), Fraction(0),
-        )
-        assert profile.blocks == ((2, 0), (1, 0), (1, 0))
-        assert profile.K == (2, 3, 4)
+        ]
         assert profile.beta == 4
         assert not profile.has_one
+        # the blocks of equal sorted values {1, 2}, {0}, {3}: members of one
+        # block share their clause set, which watches every later block;
+        # the block at zero denotes the empty set and is dropped
+        seven, three, zero = Fraction(7, 10), Fraction(3, 10), Fraction(0)
+        assert [S.canonical_form() for S in semispace_family(x0)] == [
+            ("S0", x0.coords),
+            ("Si", 1, seven, frozenset({(0, three), (3, zero)})),
+            ("Si", 2, seven, frozenset({(0, three), (3, zero)})),
+            ("Si", 0, three, frozenset({(3, zero)})),
+        ]
 
     @given(points(4))
     def test_sorted_descending_and_stable(self, x0):
         profile = sorted_profile(x0)
-        values = profile.sorted_values()
+        values = [x0[o] for o in profile.perm]
         assert all(values[i] >= values[i + 1] for i in range(3))
         assert sorted(profile.perm) == [0, 1, 2, 3]
         # stability: equal values keep ascending original coordinates
@@ -55,11 +64,9 @@ class TestSortedProfile:
                 assert profile.perm[i] < profile.perm[i + 1]
 
     @given(points(4))
-    def test_blocks_tile_the_point(self, x0):
+    def test_zero_and_one_markers(self, x0):
         profile = sorted_profile(x0)
-        assert sum(k for k, _ in profile.blocks) == 4
-        assert profile.K[-1] == 4
-        values = profile.sorted_values()
+        values = [x0[o] for o in profile.perm]
         zeros = [p for p, v in enumerate(values, start=1) if v == 0]
         assert profile.beta == (zeros[0] if zeros else None)
         assert profile.has_one == (values[0] == 1)
@@ -67,19 +74,23 @@ class TestSortedProfile:
 
 class TestDescriptor:
     def test_original_index_and_threshold(self):
-        S = SemispaceDescriptor.at_original_coordinate(pt("0.3,0.7"), 1)
-        assert S.index == 1
-        assert S.original_index == 1
-        assert S.threshold == Fraction(7, 10)
+        x0 = pt("0.3,0.7")
+        S = SemispaceDescriptor(x0, 1)
+        # coordinate 1 holds the largest value: sorted position 1
+        assert semispace_family(x0)[1] == S
+        assert S.coordinate == 1
+        assert S.x0[S.coordinate] == Fraction(7, 10)
 
     def test_upper_type_has_no_coordinate(self):
-        S = SemispaceDescriptor.s0(pt("0.3,0.7"))
-        with pytest.raises(ValueError):
-            S.original_index
+        x0 = pt("0.3,0.7")
+        S = SemispaceDescriptor(x0, None)
+        assert S.coordinate is None
+        assert semispace_family(x0)[0] == S
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            SemispaceDescriptor(pt("0.3,0.7"), 3, (0, 1))
+        for coordinate in (-1, 2):
+            with pytest.raises(ValueError):
+                SemispaceDescriptor(pt("0.3,0.7"), coordinate)
 
     def test_defining_point_is_never_a_member(self):
         x0 = pt("0.6,0.3")
@@ -144,20 +155,20 @@ class TestFamily:
             image = Point(tuple(base[perm[i]] for i in range(3)))
             got = set()
             for S in semispace_family(image):
-                if S.index == 0:
+                if S.coordinate is None:
                     got.add(("S0", base.coords))
                 else:
-                    o = perm[S.original_index]
+                    o = perm[S.coordinate]
                     clauses = frozenset((perm[m], v) for m, v in S.canonical_form()[3])
-                    got.add(("Si", o, S.threshold, clauses))
+                    got.add(("Si", o, S.x0[S.coordinate], clauses))
             assert got == base_forms
 
 
 class TestAvoidance:
     def test_worked_examples(self):
         B = box("0.6,0.1", "0.9,0.3")
-        assert semispace_avoids_box(SemispaceDescriptor.s0(pt("0.9,0.3")), B)
-        S2 = SemispaceDescriptor.at_original_coordinate(pt("0.5,0.5"), 1)
+        assert semispace_avoids_box(SemispaceDescriptor(pt("0.9,0.3"), None), B)
+        S2 = SemispaceDescriptor(pt("0.5,0.5"), 1)
         assert not semispace_avoids_box(S2, B)
 
     @given(points(2, coord4), points(2, coord4), points(2, coord4))
@@ -200,11 +211,11 @@ class TestHemispace:
 class TestSetInSemispace:
     def test_reports_first_failing_generator(self):
         C = gset("0.2,0.5", "0.7,0.1", "0.1,0.9")
-        S = SemispaceDescriptor.at_original_coordinate(pt("0.5,0.5"), 0)
+        S = SemispaceDescriptor(pt("0.5,0.5"), 0)
         # predicate: x_1 < 0.5, no second clause at a tied finite point
         assert set_in_semispace(C, S) == pt("0.7,0.1")
 
     def test_none_when_all_generators_fit(self):
         C = gset("0.2,0.5", "0.1,0.9")
-        S = SemispaceDescriptor.at_original_coordinate(pt("0.5,0.5"), 0)
+        S = SemispaceDescriptor(pt("0.5,0.5"), 0)
         assert set_in_semispace(C, S) is None

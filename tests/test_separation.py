@@ -124,7 +124,7 @@ class TestSeparateBoxExamples:
     def test_upper_semispace_in_one_call(self):
         cert = separate_box(box("0.6,0.1", "0.9,0.3"), gset("0.2,0.5", "0.4,0.9"))
         assert cert.outcome == SEMISPACE
-        assert cert.separator.index == 0
+        assert cert.separator.coordinate is None
         assert cert.separator.x0 == pt("0.9,0.3")
         assert cert.oracle_calls == 1
 
@@ -132,7 +132,7 @@ class TestSeparateBoxExamples:
         cert = separate_box(box("0.2,0.2", "1,0.5"), gset("0.1,0.8"))
         assert cert.outcome == SEMISPACE
         assert cert.separator.x0 == pt("0.2,0.2")
-        assert cert.separator.original_index == 0
+        assert cert.separator.coordinate == 0
         assert cert.oracle_calls == 1
         assert cert.trace[0].stage == 2
 
@@ -140,7 +140,7 @@ class TestSeparateBoxExamples:
         cert = separate_box(box("0.5,0.3", "0.8,1"), gset("0.6,0.1"))
         assert cert.outcome == SEMISPACE
         assert cert.separator.x0 == pt("0.5,0.3")
-        assert cert.separator.original_index == 1
+        assert cert.separator.coordinate == 1
         assert cert.oracle_calls == 2
         assert [e.stage for e in cert.trace] == [2, 3]
 

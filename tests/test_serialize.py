@@ -113,13 +113,13 @@ class TestPointsAndBoxes:
 
 class TestDescriptors:
     def test_s0_round_trip(self):
-        S = SemispaceDescriptor.s0(pt("0.3,0.7"))
+        S = SemispaceDescriptor(pt("0.3,0.7"), None)
         data = descriptor_to_dict(S)
         assert data == {"type": "S0", "x0": ["0.3", "0.7"]}
         assert descriptor_from_dict(data) == S
 
     def test_si_uses_one_based_coordinates(self):
-        S = SemispaceDescriptor.at_original_coordinate(pt("0.3,0.7"), 1)
+        S = SemispaceDescriptor(pt("0.3,0.7"), 1)
         data = descriptor_to_dict(S)
         assert data == {"type": "Si", "x0": ["0.3", "0.7"], "i": 2}
         assert descriptor_from_dict(data) == S
@@ -141,6 +141,12 @@ class TestDescriptors:
             {"type": "Si", "x0": ["0.5"], "i": 0},
             {"type": "S0", "x0": ["0.5"], "M": "1"},
             {"x0": ["0.5"]},
+            {"type": "Si", "x0": ["0.5"], "i": True},
+            {"type": "Si", "x0": ["0.5"], "i": 1.5},
+            {"type": "Si", "x0": ["0.5"], "i": "1"},
+            {"type": "S0", "x0": ["0.5"], "M": [True]},
+            {"type": "S0", "x0": ["0.5"], "M": [1.0]},
+            {"type": "S0", "x0": ["0.5"], "M": ["1"]},
         ],
     )
     def test_malformed_descriptors(self, bad):
@@ -198,6 +204,17 @@ class TestInstances:
             {"dimension": 2, "options": {"grid": 0}},
             {"dimension": 2, "options": {"depth": 3}},
             {"dimension": 2, "options": "fast"},
+            {"dimension": True},
+            {"dimension": 2.5},
+            {"dimension": "2"},
+            {},
+            {"dimension": 2, "options": {"grid": True}},
+            {"dimension": 2, "options": {"grid": "x"}},
+            {"dimension": 2, "options": {"grid": 2.5}},
+            {"dimension": 2, "options": {"grid": None}},
+            {"dimension": 2, "options": {"fallback": "false"}},
+            {"dimension": 2, "options": {"fallback": 0}},
+            {"dimension": 2, "options": {"fallback": None}},
         ],
     )
     def test_strict_rejection(self, bad):
