@@ -11,18 +11,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
-from .core import Point
-from .convex import GeneratedConvexSet, box_intersects_hull, bounding_box, hull_contains
+from .core import Point, check_same_dim
+from .convex import GeneratedConvexSet, box_intersects_hull, bounding_box
 from .errors import MaxMinError, ParseError
-from .oracle import Grid
+from .oracle import Grid, RankGrid, first_grid_separator
 from .semispaces import (
     HemispaceDescriptor,
     hemispace_avoids_box,
-    hemispace_contains,
     semispace_avoids_box,
-    semispace_contains,
     semispace_family,
     set_in_semispace,
 )
@@ -117,10 +114,24 @@ def _check(checks: list, name: str, ok: bool) -> None:
     checks.append({"check": name, "ok": bool(ok)})
 
 
-def _grid_sweep(grid: Grid, region, member, inside: bool = True) -> bool:
-    """Whether every grid point in region lies inside member (outside it
-    when inside is False)."""
-    return all(member(p) == inside for p in grid.points() if region(p))
+def _sweep(checks: list, name: str, point: Point | None) -> None:
+    """Record a grid sweep; a failed one names its first offending point."""
+    _check(checks, name, point is None)
+    if point is not None:
+        checks[-1]["point"] = serialize.point_to_list(point)
+
+
+def _field(data: dict, key: str):
+    if key not in data:
+        raise ParseError(f"certificate lacks its {key!r} field")
+    return data[key]
+
+
+def _rank_grid(grid: Grid, inst: serialize.Instance, *points: Point) -> RankGrid:
+    """Rank encoding of the grid, the instance and the certificate points."""
+    corners = (inst.box.lower, inst.box.upper) if inst.box is not None else ()
+    gens = [v for C in inst.sets.values() for v in C.generators]
+    return RankGrid(grid, (*corners, *gens, *points))
 
 
 def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, checks: list) -> None:
@@ -128,37 +139,32 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
         raise ParseError("certificate instance lacks a box")
     B = inst.box
     C = _single_set(inst)
-    in_hull = partial(hull_contains, C)
     outcome = data.get("outcome")
-    if outcome == SEMISPACE:
-        S = serialize.descriptor_from_dict(data["separator"])
-        if isinstance(S, HemispaceDescriptor):
-            raise ParseError("semispace outcome carries a hemispace descriptor")
-        in_S = partial(semispace_contains, S)
+    if outcome in (SEMISPACE, HEMISPACE):
+        S = serialize.descriptor_from_dict(_field(data, "separator"))
+        hemispace = isinstance(S, HemispaceDescriptor)
+        if hemispace != (outcome == HEMISPACE):
+            carried = HEMISPACE if hemispace else SEMISPACE
+            raise ParseError(f"{outcome} outcome carries a {carried} descriptor")
+        avoids_box = hemispace_avoids_box if hemispace else semispace_avoids_box
+        rg = _rank_grid(grid, inst, S.x0)
+        in_hull, in_S = rg.hull(C), rg.semispace(S)
         _check(checks, "set inside separator", set_in_semispace(C, S) is None)
-        _check(checks, "separator misses box", semispace_avoids_box(S, B))
-        _check(checks, "grid hull points inside separator", _grid_sweep(grid, in_hull, in_S))
-        _check(
-            checks,
-            "no grid box point inside separator",
-            _grid_sweep(grid, B.contains_point, in_S, inside=False),
-        )
-    elif outcome == HEMISPACE:
-        H = serialize.descriptor_from_dict(data["separator"])
-        if not isinstance(H, HemispaceDescriptor):
-            raise ParseError("hemispace outcome carries a semispace descriptor")
-        _check(checks, "set inside separator", set_in_semispace(C, H) is None)
-        _check(checks, "separator misses box", hemispace_avoids_box(H, B))
-        _check(
+        _check(checks, "separator misses box", avoids_box(S, B))
+        _sweep(
             checks,
             "grid hull points inside separator",
-            _grid_sweep(grid, in_hull, partial(hemispace_contains, H)),
+            rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(C)),
         )
+        if not hemispace:
+            _sweep(checks, "no grid box point inside separator", rg.first(in_S, rg.box(B)))
     elif outcome == NOT_SEPARABLE:
-        witness = serialize.point_from_list(data["witness"])
+        witness = serialize.point_from_list(_field(data, "witness"))
+        check_same_dim(B.lower, witness)
+        rg = _rank_grid(grid, inst, witness)
         profile = box_profile(B)
         pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
-        _check(checks, "witness in hull", hull_contains(C, witness))
+        _check(checks, "witness in hull", rg.hull(C)(rg.encode(witness)))
         _check(checks, "witness dominates box lower bounds", B.lower <= witness)
         exceed = [i for i in range(B.dim) if witness[i] > B.upper[i]]
         _check(
@@ -166,10 +172,11 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
             "witness escapes inside the profile threshold",
             bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
         )
-        _check(
+        separates = not assert_nonseparable(B, C, Fraction(1, grid.denominator))
+        _sweep(
             checks,
             "no grid semispace separates",
-            assert_nonseparable(B, C, Fraction(1, grid.denominator)),
+            first_grid_separator(B, C, grid).x0 if separates else None,
         )
     else:
         raise ParseError(f"unknown certificate outcome {outcome!r}")
@@ -180,27 +187,26 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid
     boxed = serialize.json_int(data.get("boxed_set"), "boxed_set")
     if boxed not in (1, 2):
         raise ParseError("two-set certificate needs boxed_set 1 or 2")
-    box = serialize.box_from_dict(data["box"])
-    inner, other = (C1, C2) if boxed == 1 else (C2, C1)
-    bb = bounding_box(inner)
-    _check(checks, "box contains its set", box.lower <= bb.lower and bb.upper <= box.upper)
-    _check(checks, "box misses the other hull", not box_intersects_hull(box, other))
-    _check(
-        checks,
-        "no grid point of the other hull in the box",
-        _grid_sweep(grid, partial(hull_contains, other), box.contains_point, inside=False),
-    )
+    box = serialize.box_from_dict(_field(data, "box"))
+    S = None
     if data.get("semispace") is not None:
         S = serialize.descriptor_from_dict(data["semispace"])
         if isinstance(S, HemispaceDescriptor):
             raise ParseError("two-set certificates carry plain semispaces")
+    inner, other = (C1, C2) if boxed == 1 else (C2, C1)
+    rg = _rank_grid(grid, inst, box.lower, box.upper, *([S.x0] if S else []))
+    bb = bounding_box(inner)
+    _check(checks, "box contains its set", box.lower <= bb.lower and bb.upper <= box.upper)
+    _check(checks, "box misses the other hull", not box_intersects_hull(box, other))
+    _sweep(
+        checks,
+        "no grid point of the other hull in the box",
+        rg.first(rg.hull(other), rg.span(other), rg.box(box)),
+    )
+    if S is not None:
         _check(checks, "other set inside semispace", set_in_semispace(other, S) is None)
         _check(checks, "semispace misses the box", semispace_avoids_box(S, box))
-        _check(
-            checks,
-            "no grid box point inside semispace",
-            _grid_sweep(grid, box.contains_point, partial(semispace_contains, S), inside=False),
-        )
+        _sweep(checks, "no grid box point inside semispace", rg.first(rg.semispace(S), rg.box(box)))
 
 
 def _cmd_verify(args) -> int:

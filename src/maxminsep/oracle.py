@@ -1,28 +1,40 @@
 """Brute-force referees on finite grids.
 
-Everything here is deliberately independent of the residuation shortcuts
-in the rest of the library: hulls are segment closures computed to a
-fixpoint, convexity is checked pair by pair, and separators are found by
-exhaustive enumeration.  Internally the grid is handled as integer index
-tuples; conversion happens only at the boundary, so the referee stays
-exact and reasonably fast.
+The grid {0, 1/d, ..., 1}^n is the referee's universe: `verify` checks a
+certificate by sweeping the grid points where a counterexample could sit,
+and first_grid_separator looks for a separating semispace at every grid
+point in turn.
+
+Sweeps run on ranks, not on scalars.  RankGrid sorts the distinct scalars
+of the instance, the certificate and the grid values k/d and numbers them
+0..K; a point becomes the tuple of its coordinates' ranks.  Max-min
+membership only compares coordinates (hulls take mins and maxes of input
+values), so this order-preserving relabel is exact and the inner loops
+compare small ints.  Only a point that is returned gets decoded.
+
+Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
+points inside the box, hull-side sweeps those inside the bounding box of the
+generators (which holds the hull), intersected with the box when both
+apply.  Within a region the order stays lexicographic, so a sweep returns
+the same first offending point a sweep over the whole grid would.
+
+The membership tests here are written out on ranks and share no code with
+the library they referee: hull membership checks the principal solution
+coordinate by coordinate, semispaces and hemispaces evaluate their defining
+predicates.  grid_hull and brute_is_convex take segment closures on grid
+index tuples, independent of both.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import Point, check_same_dim
 from .convex import Box, GeneratedConvexSet
 from .errors import ResourceLimitError
-from .semispaces import (
-    SemispaceDescriptor,
-    semispace_avoids_box,
-    semispace_family,
-    set_in_semispace,
-)
+from .semispaces import HemispaceDescriptor, SemispaceDescriptor
 
 
 MAX_GRID_POINTS = 2_000_000
@@ -136,6 +148,100 @@ def brute_is_convex(points: Iterable[Point], grid: Grid) -> bool:
     return True
 
 
+Ranks = tuple[int, ...]
+RankBox = tuple[Ranks, Ranks]
+
+
+class RankGrid:
+    """A grid and an order-preserving rank encoding of the grid values and
+    the coordinates of the given points."""
+
+    def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
+        d = grid.denominator
+        grid_values = [Fraction(k, d) for k in range(d + 1)]
+        self.grid = grid
+        self.values = tuple(sorted(set(grid_values).union(c for p in points for c in p)))
+        self._rank = {v: r for r, v in enumerate(self.values)}
+        self.axis = tuple(self._rank[v] for v in grid_values)
+
+    def encode(self, p: Point) -> Ranks:
+        return tuple(self._rank[c] for c in p)
+
+    def decode(self, ranks: Ranks) -> Point:
+        return Point(tuple(self.values[r] for r in ranks))
+
+    def box(self, B: Box) -> RankBox:
+        return self.encode(B.lower), self.encode(B.upper)
+
+    def span(self, C: GeneratedConvexSet) -> RankBox:
+        """Bounding box of the generators; it holds the hull."""
+        columns = list(zip(*(self.encode(v) for v in C.generators)))
+        return tuple(map(min, columns)), tuple(map(max, columns))
+
+    def hull(self, C: GeneratedConvexSet) -> Callable[[Ranks], bool]:
+        """Membership in the hull of C.
+
+        y is a hull point iff y = max_j min(lam_j, v_j) with some lam_j at
+        the top, and the greatest lam_j with min(lam_j, v_j) <= y is the
+        least y_k over the coordinates where v_j exceeds y (the top when
+        there is none).  Those principal coefficients always give a point
+        <= y, so y is in the hull iff some generator lies below y and every
+        coordinate y_i is reached by some generator."""
+        gens = [self.encode(v) for v in C.generators]
+        top = len(self.values)
+
+        def member(y: Ranks) -> bool:
+            lams = [min([yk for vk, yk in zip(v, y) if vk > yk], default=top) for v in gens]
+            return top in lams and all(
+                any(lam >= yi and v[i] >= yi for lam, v in zip(lams, gens))
+                for i, yi in enumerate(y)
+            )
+
+        return member
+
+    def semispace(self, S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks], bool]:
+        """Membership in a semispace or a hemispace."""
+        x0 = self.encode(S.x0)
+        if isinstance(S, HemispaceDescriptor):
+            M = sorted(S.M)
+            return lambda y: any(y[i] > x0[i] for i in M)
+        return _semispace_member(x0, S.coordinate)
+
+    def first(self, offending: Callable[[Ranks], bool], *regions: RankBox) -> Point | None:
+        """First grid point, in lexicographic order, that lies in every
+        region and is offending; decoded, None when there is none."""
+        self.grid.guard()
+        axes = []
+        for i in range(self.grid.dimension):
+            lo = max(r[0][i] for r in regions)
+            hi = min(r[1][i] for r in regions)
+            axes.append([g for g in self.axis if lo <= g <= hi])
+        for y in itertools.product(*axes):
+            if offending(y):
+                return self.decode(y)
+        return None
+
+
+def _semispace_member(x0: Ranks, o: int | None) -> Callable[[Ranks], bool]:
+    """The semispace predicate at x0: some y_k > x0_k for the upper type;
+    y_o < x0_o or y_m > x0_m at some m with x0_m < x0_o for coordinate o."""
+    if o is None:
+        return lambda y: any(a > b for a, b in zip(y, x0))
+    tau = x0[o]
+    watched = [m for m, a in enumerate(x0) if a < tau]
+    return lambda y: y[o] < tau or any(y[m] > x0[m] for m in watched)
+
+
+def _misses_box(x0: Ranks, o: int | None, lower: Ranks, upper: Ranks) -> bool:
+    """Whether the semispace (x0, o) misses the box [lower, upper].  The
+    semispace is a union of the open half-spaces its predicate names, and a
+    box misses a union iff it misses each part."""
+    if o is None:
+        return all(u <= a for u, a in zip(upper, x0))
+    tau = x0[o]
+    return lower[o] >= tau and all(u <= a for u, a in zip(upper, x0) if a < tau)
+
+
 def brute_separation_search(
     B: Box, C: GeneratedConvexSet, grid: Grid
 ) -> SemispaceDescriptor | None:
@@ -162,9 +268,25 @@ def first_grid_separator(
 ) -> SemispaceDescriptor | None:
     """First semispace at a grid point, in grid order and family order, that
     contains C and misses B; None when there is none.  B and C may lie off
-    the grid."""
-    for x0 in grid.points():
-        for S in semispace_family(x0):
-            if set_in_semispace(C, S) is None and semispace_avoids_box(S, B):
-                return S
+    the grid.
+
+    The family at x0 is the upper type (absent when some coordinate is 1)
+    followed by the coordinates sorted descending, ties by index, up to the
+    first zero coordinate.
+    """
+    rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
+    lower, upper = rg.box(B)
+    gens = [rg.encode(v) for v in C.generators]
+    zero, one = rg.axis[0], rg.axis[-1]
+    n = grid.dimension
+    grid.guard()
+    for x0 in itertools.product(rg.axis, repeat=n):
+        family = [o for o in sorted(range(n), key=lambda i: (-x0[i], i)) if x0[o] != zero]
+        if one not in x0:
+            family.insert(0, None)
+        for o in family:
+            if _misses_box(x0, o, lower, upper):
+                member = _semispace_member(x0, o)
+                if all(member(v) for v in gens):
+                    return SemispaceDescriptor(rg.decode(x0), o)
     return None

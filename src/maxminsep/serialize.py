@@ -9,6 +9,7 @@ Coordinate indices are 1-based on the wire.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,10 +21,26 @@ from .separation import SeparationCertificate, TraceEntry
 from .planar import PlanarBoxCertificate
 
 
+# Fraction() builds the whole number a string spells out, so "1e-20000"
+# costs a 66k-bit denominator and a larger exponent stalls the parse; the
+# size of a scalar string is bounded before Fraction sees it.
+MAX_SCALAR_DIGITS = 300
+MAX_SCALAR_EXPONENT = 300
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)")
+
+
 def parse_scalar(text: str) -> Fraction:
     """Exact scalar in [0, 1] from a decimal or fraction string."""
     if not isinstance(text, str):
         raise ParseError(f"scalar must be a string, got {type(text).__name__}")
+    if len(text) > MAX_SCALAR_DIGITS:
+        digits = sum(ch.isdigit() for ch in text)
+        if digits > MAX_SCALAR_DIGITS:
+            raise ParseError(f"scalar string has {digits} digits, above the {MAX_SCALAR_DIGITS} bound")
+    if "e" in text or "E" in text:
+        for exponent in _EXPONENT.findall(text):
+            if abs(int(exponent.replace("_", ""))) > MAX_SCALAR_EXPONENT:
+                raise ParseError(f"scalar exponent {exponent} outside ±{MAX_SCALAR_EXPONENT}")
     try:
         return as_scalar(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -159,8 +176,13 @@ def instance_from_dict(data) -> Instance:
     box = box_from_dict(data["box"]) if data.get("box") is not None else None
     if box is not None and box.dim != n:
         raise ParseError(f"box dimension {box.dim} does not match instance dimension {n}")
+    raw_sets = data.get("sets")
+    if raw_sets is None:
+        raw_sets = {}
+    elif not isinstance(raw_sets, dict):
+        raise ParseError("sets must be an object mapping names to generator lists")
     sets: dict[str, GeneratedConvexSet] = {}
-    for name, gens in (data.get("sets") or {}).items():
+    for name, gens in raw_sets.items():
         C = set_from_list(gens)
         if C.dim != n:
             raise ParseError(f"set {name!r} has dimension {C.dim}, expected {n}")

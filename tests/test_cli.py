@@ -1,10 +1,13 @@
 """End-to-end command line behaviour: exit codes, JSON output, SVG output."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import maxminsep
 from maxminsep.cli import main
 
 SEPARABLE = {
@@ -77,6 +80,15 @@ class TestSeparateBox:
         data = json.loads(out)
         assert data["outcome"] == "not-separable"
         assert data["witness"] == ["0.4", "0.8"]
+
+    @pytest.mark.parametrize("command", ["separate-box", "verify"])
+    def test_sets_given_as_a_list_are_rejected(self, tmp_path, capsys, command):
+        bad = dict(SEPARABLE, sets=[["0.1", "0.8"]])
+        document = {"kind": "box", "instance": bad} if command == "verify" else bad
+        code, out, err = run(capsys, [command, "-i", write_instance(tmp_path, document)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: sets must be an object mapping names to generator lists\n"
 
     def test_instance_without_box_fails(self, tmp_path, capsys):
         inst = write_instance(tmp_path, {"dimension": 2, "sets": {"C": [["0.5", "0.5"]]}})
@@ -276,6 +288,94 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "instance, command, key",
+        [
+            (SEPARABLE, ["separate-box"], "separator"),
+            (BLOCKED, ["separate-box"], "separator"),
+            (BLOCKED, ["separate-box", "--no-fallback"], "witness"),
+            (TWO_SETS, ["separate-2d"], "box"),
+        ],
+    )
+    def test_certificate_without_its_answer(self, tmp_path, capsys, instance, command, key):
+        inst = write_instance(tmp_path, instance)
+        cert_path = tmp_path / "cert.json"
+        run(capsys, [*command, "-i", inst, "-o", str(cert_path)])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        del data[key]
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: certificate lacks its {key!r} field\n"
+
+    def test_passing_checks_name_no_point(self, tmp_path, capsys):
+        _, cert_path = self.emit_certificate(tmp_path, capsys, SEPARABLE)
+        _, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert all(set(c) == {"check", "ok"} for c in json.loads(out)["checks"])
+
+    def test_failed_sweep_names_its_first_point(self, tmp_path, capsys):
+        # the upper-type semispace at the lower box corner holds every box
+        # point; the first grid point of the box, (1/3, 1/3), is reported
+        _, cert_path = self.emit_certificate(tmp_path, capsys, SEPARABLE)
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data["separator"]["x0"] = ["0.2", "0.2"]
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"check": "set inside separator", "ok": True},
+            {"check": "separator misses box", "ok": False},
+            {"check": "grid hull points inside separator", "ok": True},
+            {"check": "no grid box point inside separator", "ok": False, "point": ["1/3", "1/3"]},
+        ]
+
+    def test_failed_hull_sweep_names_a_hull_point(self, tmp_path, capsys):
+        _, cert_path = self.emit_certificate(tmp_path, capsys, ESCAPING)
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data["separator"]["x0"] = ["0.9", "0.9"]
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        failed = {c["check"]: c.get("point") for c in json.loads(out)["checks"] if not c["ok"]}
+        assert failed == {
+            "set inside separator": None,
+            "grid hull points inside separator": ["0.9", "0.9"],
+        }
+
+    def test_false_negative_names_the_separator_point(self, tmp_path, capsys):
+        _, cert_path = self.emit_certificate(tmp_path, capsys, ESCAPING)
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data.update(outcome="not-separable", separator=None, witness=["0.9", "0.9"])
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        _, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        last = json.loads(out)["checks"][-1]
+        assert last["check"] == "no grid semispace separates"
+        assert last["point"] == ["0.8", "0.5"]
+
+    def test_seven_dimensions_hit_the_grid_guard_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        from types import SimpleNamespace
+        from maxminsep import oracle
+
+        instance = {
+            "dimension": 7,
+            "box": {"lower": ["0.2"] * 7, "upper": ["0.5"] * 7},
+            "sets": {"C": [["0.1"] * 6 + ["0.8"]]},
+            "options": {"grid": 10},
+        }
+        inst = write_instance(tmp_path, instance)
+        cert_path = tmp_path / "cert.json"
+        assert run(capsys, ["separate-box", "-i", inst, "-o", str(cert_path)])[0] == 0
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the grid was enumerated")
+
+        monkeypatch.setattr(oracle, "itertools", SimpleNamespace(product=enumerate_nothing))
+        code, out, err = run(capsys, ["verify", "-i", str(cert_path), "--grid", "10"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: grid holds 19487171 points, above the 2000000 bound\n"
+
 
 class TestPlot:
     def test_writes_svg(self, tmp_path, capsys):
@@ -309,10 +409,14 @@ class TestPlot:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this test, installed or not
+    src = str(Path(maxminsep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "maxminsep", "family", "-p", "0.5,0.5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["x0"] == ["0.5", "0.5"]

@@ -1,19 +1,29 @@
 """The grid referee: exhaustive, exact, and deliberately naive."""
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from maxminsep import (
+    Box,
+    GeneratedConvexSet,
     Grid,
+    HemispaceDescriptor,
     Point,
     ResourceLimitError,
+    SemispaceDescriptor,
     brute_is_convex,
     brute_separation_search,
     grid_hull,
+    hemispace_contains,
+    hull_contains,
     semispace_avoids_box,
+    semispace_contains,
+    semispace_family,
     set_in_semispace,
 )
+from maxminsep.oracle import RankGrid, first_grid_separator
 from helpers import box, brute_segment, combo, gset, pt
 
 
@@ -115,3 +125,97 @@ class TestBruteSeparationSearch:
         grid = Grid(4, 2)
         with pytest.raises(ValueError):
             brute_separation_search(box("0.1,0.1", "0.3,0.3"), gset("0.5,0.75"), grid)
+
+
+def _reference_first(grid, offending):
+    """First grid point, lexicographically, at which offending holds."""
+    return next((p for p in grid.points() if offending(p)), None)
+
+
+def _reference_separator(B, C, grid):
+    for x0 in grid.points():
+        for S in semispace_family(x0):
+            if set_in_semispace(C, S) is None and semispace_avoids_box(S, B):
+                return S
+    return None
+
+
+def _random_instance(r, n, den):
+    """Box and set on the 1/den grid, the box degenerate on some axes."""
+    pairs = []
+    for _ in range(n):
+        a, b = sorted(Fraction(r.randrange(den + 1), den) for _ in range(2))
+        pairs.append((a, a) if r.random() < 0.25 else (a, b))
+    B = Box(Point(tuple(p[0] for p in pairs)), Point(tuple(p[1] for p in pairs)))
+    gens = tuple(
+        Point(tuple(Fraction(r.randrange(den + 1), den) for _ in range(n)))
+        for _ in range(r.randrange(1, 4))
+    )
+    return B, GeneratedConvexSet(gens)
+
+
+# (instance denominator, grid denominator): on the grid, off it (1/6 against
+# 1/4), and a grid coarser than the instance
+DIFFERENTIAL_CASES = [(n, den, d) for n in (1, 2, 3) for den, d in ((4, 4), (6, 4), (12, 3))]
+
+
+class TestRankGridDifferential:
+    """Every rank-encoded sweep against the Fraction reference."""
+
+    @pytest.mark.parametrize("n, den, d", DIFFERENTIAL_CASES)
+    def test_sweeps_match_the_fraction_reference(self, n, den, d):
+        r = random.Random(f"{n}/{den}/{d}")
+        grid = Grid(d, n)
+        for _ in range(15):
+            B, C = _random_instance(r, n, den)
+            _, other = _random_instance(r, n, den)
+            x0 = Point(tuple(Fraction(r.randrange(den + 1), den) for _ in range(n)))
+            H = HemispaceDescriptor(x0, frozenset(i for i in range(n) if r.random() < 0.6))
+            rg = RankGrid(grid, (B.lower, B.upper, x0, *C.generators, *other.generators))
+            in_hull = rg.hull(C)
+            assert [in_hull(rg.encode(p)) for p in grid.points()] == [
+                hull_contains(C, p) for p in grid.points()
+            ]
+            assert all(in_hull(rg.encode(v)) for v in C.generators)
+            assert rg.first(rg.hull(other), rg.span(other), rg.box(B)) == _reference_first(
+                grid, lambda p: B.contains_point(p) and hull_contains(other, p)
+            )
+            for S in [*semispace_family(x0), H]:
+                member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
+                in_S = rg.semispace(S)
+                assert rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(C)) == _reference_first(
+                    grid, lambda p: hull_contains(C, p) and not member(S, p)
+                )
+                assert rg.first(in_S, rg.box(B)) == _reference_first(
+                    grid, lambda p: B.contains_point(p) and member(S, p)
+                )
+
+    @pytest.mark.parametrize("n, den, d", DIFFERENTIAL_CASES)
+    def test_first_grid_separator_matches_the_fraction_reference(self, n, den, d):
+        r = random.Random(f"separator {n}/{den}/{d}")
+        grid = Grid(d, n)
+        found = 0
+        for _ in range(15):
+            B, C = _random_instance(r, n, den)
+            expected = _reference_separator(B, C, grid)
+            assert first_grid_separator(B, C, grid) == expected
+            found += expected is not None
+        assert found > 0
+
+    def test_box_corners_at_the_cube_corners(self):
+        grid = Grid(4, 2)
+        B = box("0,0", "1,1")
+        C = gset("1/6,5/6")
+        rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
+        assert rg.first(lambda y: True, rg.box(B)) == pt("0,0")
+        assert rg.first(rg.hull(C), rg.span(C), rg.box(B)) is None
+        assert first_grid_separator(B, C, grid) is None
+
+    def test_guard_runs_before_any_enumeration(self):
+        grid = Grid(10, 7)
+        corner = Point.constant(7, "0.5")
+        rg = RankGrid(grid, (corner,))
+        with pytest.raises(ResourceLimitError):
+            rg.first(lambda y: pytest.fail("a point was enumerated"), rg.box(Box(corner, corner)))
+        with pytest.raises(ResourceLimitError):
+            first_grid_separator(Box(corner, corner), GeneratedConvexSet((corner,)), grid)

@@ -71,10 +71,22 @@ class TestScalarStrings:
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1.5", "-0.1", "3/0", "1/0"])
+    @pytest.mark.parametrize("bad", ["", "abc", "1.5", "-0.1", "3/0", "1/0", "1e_"])
     def test_rejects_bad_text(self, bad):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1e-5000", "1E-5000", "0.5e+5000", "1e-50_00", "0." + "3" * 5000, "1/" + "3" * 5000],
+    )
+    def test_rejects_oversized_scalar_strings(self, bad):
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+
+    def test_accepts_scalar_strings_within_the_bound(self):
+        assert parse_scalar("1e-300") == Fraction(1, 10**300)
+        assert parse_scalar("0." + "0" * 298 + "1") == Fraction(1, 10**299)
 
 
 class TestPointsAndBoxes:
@@ -215,6 +227,9 @@ class TestInstances:
             {"dimension": 2, "options": {"fallback": "false"}},
             {"dimension": 2, "options": {"fallback": 0}},
             {"dimension": 2, "options": {"fallback": None}},
+            {"dimension": 2, "sets": [["0.5", "0.5"]]},
+            {"dimension": 2, "sets": []},
+            {"dimension": 2, "sets": "C"},
         ],
     )
     def test_strict_rejection(self, bad):
