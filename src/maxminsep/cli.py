@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .core import Point, check_same_dim
-from .convex import GeneratedConvexSet, box_intersects_hull, bounding_box
+from .convex import box_intersects_hull, bounding_box
 from .errors import MaxMinError, ParseError
 from .oracle import Grid, RankGrid, first_grid_separator
 from .semispaces import (
@@ -29,17 +30,20 @@ from .separation import (
     SEMISPACE,
     assert_nonseparable,
     box_profile,
-    check_sep_cond,
-    separate_box,
+    separate,
 )
-from .planar import separate_box_semispace, separate_two_sets
+from .planar import box_and_semispace, box_one_set
 from . import serialize
 from .svg import render_scene
 
 
-def _load_instance(path: str) -> serialize.Instance:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return serialize.parse_instance(fh.read())
+        return fh.read()
+
+
+def _load_instance(path: str) -> serialize.RankInstance:
+    return serialize.read_rank_instance(_read(path))
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -50,13 +54,13 @@ def _emit(document: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _single_set(inst: serialize.Instance) -> GeneratedConvexSet:
+def _single_set(inst):
     if not inst.sets:
         raise ParseError("the instance defines no generated set")
     return inst.set_list()[0]
 
 
-def _two_sets(inst: serialize.Instance) -> tuple[GeneratedConvexSet, GeneratedConvexSet]:
+def _two_sets(inst):
     if len(inst.sets) < 2:
         raise ParseError("two generated sets are required, in document order")
     first, second = inst.set_list()[:2]
@@ -67,20 +71,20 @@ def _cmd_separate_box(args) -> int:
     inst = _load_instance(args.instance)
     if inst.box is None:
         raise ParseError("separate-box needs a box in the instance")
-    C = _single_set(inst)
+    gens = _single_set(inst)
     fallback = inst.options.fallback and not args.no_fallback
-    cert = separate_box(inst.box, C, with_fallback=fallback)
+    cert = separate(inst.scale, inst.box, gens, with_fallback=fallback)
     _emit(serialize.certificate_to_dict(cert, inst), args.output)
     return 0 if cert.separated else 2
 
 
 def _cmd_separate_2d(args) -> int:
     inst = _load_instance(args.instance)
-    C1, C2 = _two_sets(inst)
+    gens1, gens2 = _two_sets(inst)
     if args.with_semispace:
-        cert, S = separate_box_semispace(C1, C2)
+        cert, S = box_and_semispace(inst.scale, gens1, gens2)
     else:
-        cert, S = separate_two_sets(C1, C2), None
+        cert, S = box_one_set(inst.scale, gens1, gens2), None
     _emit(serialize.planar_certificate_to_dict(cert, inst, S), args.output)
     return 0
 
@@ -100,11 +104,11 @@ def _cmd_check_cond(args) -> int:
     inst = _load_instance(args.instance)
     if inst.box is None:
         raise ParseError("check-cond needs a box in the instance")
-    C = _single_set(inst)
-    witness = check_sep_cond(inst.box, C)
+    cert = separate(inst.scale, inst.box, _single_set(inst), with_fallback=False)
+    witness = cert.witness if cert.outcome == NOT_SEPARABLE else None
     document = {
         "holds": witness is None,
-        "witness": serialize.point_to_list(witness) if witness is not None else None,
+        "witness": serialize.point_to_list(inst.scale.decode(witness)) if witness is not None else None,
     }
     _emit(document, None)
     return 0 if witness is None else 2
@@ -234,7 +238,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = serialize.parse_instance(_read(args.instance))
     if inst.dimension != 2:
         raise ParseError("plot renders planar instances only")
     separator = None
@@ -264,7 +268,10 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="maxminsep",
         description="Exact max-min convex separation on the unit cube.",

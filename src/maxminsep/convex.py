@@ -5,13 +5,26 @@ A generated set is the max-min convex hull of its generators: all points
 to residuation: per generator there is a greatest feasible coefficient, and
 the set of feasible coefficient vectors is closed under componentwise max,
 so checking the principal (greatest) solution decides the query exactly.
+
+The algorithms run on rank tuples (see core); the public functions at the
+end encode their Fraction arguments through one Scale and decode the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, Point, check_same_dim, greatest_meet_coefficient, join, scale_meet
+from .core import (
+    Point,
+    RankBox,
+    Ranks,
+    Scale,
+    check_same_dim,
+    join_ranks,
+    leq,
+    meet_ranks,
+    residual,
+)
 from .errors import InternalError
 
 
@@ -53,12 +66,12 @@ class Box:
         return self.lower <= p and p <= self.upper
 
 
-def principal_coefficients(C: GeneratedConvexSet, cap: Point) -> tuple[Fraction, ...]:
+def principal(gens: tuple[Ranks, ...], cap: Ranks, top: int) -> list[int]:
     """Greatest λ_j with (λ_j ∧ v_j) ≤ cap, one per generator."""
-    return tuple(greatest_meet_coefficient(v, cap) for v in C.generators)
+    return [residual(v, cap, top) for v in gens]
 
 
-def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
+def greatest_under(gens: tuple[Ranks, ...], cap: Ranks, top: int) -> Ranks | None:
     """Greatest hull point ≤ cap, or None if no hull point fits under cap.
 
     A hull point needs some coefficient equal to 1, which forces that
@@ -66,30 +79,101 @@ def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
     search is empty.  Otherwise the principal combination dominates every
     hull point below cap and is itself one.
     """
-    check_same_dim(C.generators[0], cap)
-    lam = principal_coefficients(C, cap)
-    if max(lam) != ONE:
+    lams = principal(gens, cap, top)
+    if top not in lams:
         return None
-    return join(*(scale_meet(l, v) for l, v in zip(lam, C.generators)))
+    return join_ranks([meet_ranks(lam, v) for lam, v in zip(lams, gens)])
 
 
-def hull_contains(C: GeneratedConvexSet, y: Point) -> bool:
+def in_hull(gens: tuple[Ranks, ...], y: Ranks, top: int) -> bool:
     """Exact hull membership: y is a hull point iff it is the greatest hull
     point below itself."""
-    return greatest_below(C, y) == y
+    return greatest_under(gens, y, top) == y
 
 
-def box_hull_witness(B: Box, C: GeneratedConvexSet) -> Point | None:
+def box_hull_point(box: RankBox, gens: tuple[Ranks, ...], top: int) -> Ranks | None:
     """A common point of box and hull, or None if they are disjoint.
 
     If the intersection is non-empty it contains the greatest hull point
-    under B.upper, so checking that single point is complete.
+    under the upper corner, so checking that single point is complete.
     """
-    check_same_dim(B.lower, C.generators[0])
-    g = greatest_below(C, B.upper)
-    if g is not None and B.lower <= g:
+    g = greatest_under(gens, box.upper, top)
+    if g is not None and leq(box.lower, g):
         return g
     return None
+
+
+def bounds(gens: tuple[Ranks, ...]) -> RankBox:
+    """Smallest box containing the hull.
+
+    The hull lies between the componentwise min and the join of the
+    generators, and both bounds are attained by hull points.
+    """
+    columns = list(zip(*gens))
+    return RankBox(tuple(map(min, columns)), tuple(map(max, columns)))
+
+
+def hulls_common_point(gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...], top: int) -> Ranks | None:
+    """A common point of two hulls, or None when they are disjoint.
+
+    Cheap pass first: cross-membership of generators.  Then alternate
+    greatest_under against a shrinking cap.  The intersection of two hulls
+    is closed under join, so when non-empty it has a greatest point; that
+    point stays below the cap at every step, and each step either gives up
+    (no hull point under the cap, hence no common point) or lands on a
+    point whose coordinates come from the finite set of generator and cap
+    values, so the descent reaches a fixed point lying in both hulls.
+    """
+    for g in gens1:
+        if in_hull(gens2, g, top):
+            return g
+    for g in gens2:
+        if in_hull(gens1, g, top):
+            return g
+    n = len(gens1[0])
+    values = {c for v in gens1 for c in v} | {c for v in gens2 for c in v}
+    cap = (top,) * n
+    for _ in range(n * (len(values) + 2) + 2):
+        g1 = greatest_under(gens1, cap, top)
+        if g1 is None:
+            return None
+        g2 = greatest_under(gens2, g1, top)
+        if g2 is None:
+            return None
+        if g2 == cap:
+            return cap
+        cap = g2
+    raise InternalError("hull intersection descent failed to terminate")
+
+
+def principal_coefficients(C: GeneratedConvexSet, cap: Point) -> tuple[Fraction, ...]:
+    """Greatest λ_j with (λ_j ∧ v_j) ≤ cap, one per generator."""
+    check_same_dim(C.generators[0], cap)
+    s = Scale.of(cap, *C.generators)
+    return tuple(s.values[lam] for lam in principal(s.encode_all(C.generators), s.encode(cap), s.top))
+
+
+def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
+    """Greatest hull point ≤ cap, or None; see greatest_under."""
+    check_same_dim(C.generators[0], cap)
+    s = Scale.of(cap, *C.generators)
+    g = greatest_under(s.encode_all(C.generators), s.encode(cap), s.top)
+    return None if g is None else s.decode(g)
+
+
+def hull_contains(C: GeneratedConvexSet, y: Point) -> bool:
+    """Exact hull membership; see in_hull."""
+    check_same_dim(C.generators[0], y)
+    s = Scale.of(y, *C.generators)
+    return in_hull(s.encode_all(C.generators), s.encode(y), s.top)
+
+
+def box_hull_witness(B: Box, C: GeneratedConvexSet) -> Point | None:
+    """A common point of box and hull, or None; see box_hull_point."""
+    check_same_dim(B.lower, C.generators[0])
+    s = Scale.of(B.lower, B.upper, *C.generators)
+    g = box_hull_point(encode_box(s, B), s.encode_all(C.generators), s.top)
+    return None if g is None else s.decode(g)
 
 
 def box_intersects_hull(B: Box, C: GeneratedConvexSet) -> bool:
@@ -97,44 +181,22 @@ def box_intersects_hull(B: Box, C: GeneratedConvexSet) -> bool:
 
 
 def bounding_box(C: GeneratedConvexSet) -> Box:
-    """Smallest box containing the hull.
-
-    The hull lies between the componentwise min and the join of the
-    generators, and both bounds are attained by hull points.
-    """
-    lower = Point(tuple(min(v[i] for v in C.generators) for i in range(C.dim)))
-    return Box(lower, join(*C.generators))
+    """Smallest box containing the hull; see bounds."""
+    s = Scale.of(*C.generators)
+    return decode_box(s, bounds(s.encode_all(C.generators)))
 
 
 def hull_intersection_witness(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> Point | None:
-    """A common point of two hulls, or None when they are disjoint.
-
-    Cheap pass first: cross-membership of generators.  Then alternate
-    greatest_below against a shrinking cap.  The intersection of two hulls
-    is closed under join, so when non-empty it has a greatest point; that
-    point stays below the cap at every step, and each step either gives up
-    (no hull point under the cap, hence no common point) or lands on a
-    point whose coordinates come from the finite set of generator and cap
-    values, so the descent reaches a fixed point lying in both hulls.
-    """
+    """A common point of two hulls, or None; see hulls_common_point."""
     check_same_dim(C1.generators[0], C2.generators[0])
-    for g in C1.generators:
-        if hull_contains(C2, g):
-            return g
-    for g in C2.generators:
-        if hull_contains(C1, g):
-            return g
-    n = C1.dim
-    values = {c for v in C1.generators for c in v} | {c for v in C2.generators for c in v}
-    cap = Point.constant(n, 1)
-    for _ in range(n * (len(values) + 2) + 2):
-        g1 = greatest_below(C1, cap)
-        if g1 is None:
-            return None
-        g2 = greatest_below(C2, g1)
-        if g2 is None:
-            return None
-        if g2 == cap:
-            return cap
-        cap = g2
-    raise InternalError("hull intersection descent failed to terminate")
+    s = Scale.of(*C1.generators, *C2.generators)
+    g = hulls_common_point(s.encode_all(C1.generators), s.encode_all(C2.generators), s.top)
+    return None if g is None else s.decode(g)
+
+
+def encode_box(s: Scale, B: Box) -> RankBox:
+    return RankBox(s.encode(B.lower), s.encode(B.upper))
+
+
+def decode_box(s: Scale, B: RankBox) -> Box:
+    return Box(s.decode(B.lower), s.decode(B.upper))

@@ -1,15 +1,27 @@
 """Exact max-min algebra on the unit cube.
 
 Scalars are rationals in [0, 1] with join = max and meet = min.  Points are
-fixed-dimension vectors of scalars.  Every operation below is a composition
-of min/max/comparisons, so results reuse input coordinate values and stay
-exact; no tolerances appear anywhere.
+fixed-dimension vectors of scalars.  Every operation of the library is a
+composition of min, max and comparisons, so its results reuse input values
+and commute with every strictly increasing map of [0, 1] that fixes 0 and 1.
+
+So the algorithms run on ranks.  A Scale numbers the distinct scalars of
+one instance, plus 0 and 1, as 0..K in increasing order; a point becomes a
+tuple of ints, 0 becomes rank 0 and 1 becomes rank K (`top`).  Relabelling
+by the Scale is such an order-preserving map, so answers computed on ranks
+decode to the exact answers on the scalars.  Fraction lives at the
+boundary: the JSON reader parses each distinct scalar string once into a
+Fraction, and the public functions below take and return Fraction points,
+encoding their arguments through one Scale at entry and decoding the result
+through the same Scale at exit.  The rank kernels (residual, join_ranks,
+meet_ranks, leq, on_segment here, and their counterparts in the other
+modules) are the only implementation of each algorithm.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimensionError
 
@@ -26,7 +38,9 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are inexact; pass str, int or Fraction")
     v = Fraction(value)
-    if v < ZERO or v > ONE:
+    # on the normalised numerator and the positive denominator: Fraction
+    # comparisons cost far more than int ones
+    if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"scalar {v} outside [0, 1]")
     return v
 
@@ -80,6 +94,60 @@ class Point:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+Ranks = tuple[int, ...]
+
+
+class RankBox(NamedTuple):
+    """A box on ranks: lower and upper corner."""
+
+    lower: Ranks
+    upper: Ranks
+
+
+class Scale:
+    """Order-preserving numbering of finitely many scalars, 0 and 1 included.
+
+    values[r] is the scalar of rank r, rank_of(v) the rank of scalar v, and
+    top the rank of 1.  One Scale belongs to one instance: it is built from
+    that instance's scalars and travels with it.
+
+    Fraction hashing and comparison run in Python and cost far more than
+    int ones, so values are told apart by their normalised (numerator,
+    denominator) pair, which is also the key of `rank`, and sorted by float
+    with the order then confirmed exactly on ints (an exact sort runs only
+    if floats tied or misordered two values).
+    """
+
+    __slots__ = ("values", "rank", "top")
+
+    def __init__(self, values: Iterable[Fraction]) -> None:
+        unique = {(v.numerator, v.denominator): v for v in (ZERO, ONE, *values)}
+        order = sorted(unique, key=lambda nd: nd[0] / nd[1])
+        if any(p * s >= r * q for (p, q), (r, s) in zip(order, order[1:])):
+            order = sorted(unique, key=unique.__getitem__)
+        self.values = tuple(unique[nd] for nd in order)
+        self.rank = {nd: r for r, nd in enumerate(order)}
+        self.top = len(order) - 1
+
+    @classmethod
+    def of(cls, *points: Point) -> "Scale":
+        return cls(c for p in points for c in p)
+
+    def rank_of(self, v: Fraction) -> int:
+        return self.rank[v.numerator, v.denominator]
+
+    def encode(self, p: Point) -> Ranks:
+        rank = self.rank
+        return tuple(rank[c.numerator, c.denominator] for c in p)
+
+    def encode_all(self, points: Iterable[Point]) -> tuple[Ranks, ...]:
+        return tuple(map(self.encode, points))
+
+    def decode(self, ranks: Ranks) -> Point:
+        values = self.values
+        return Point(tuple(values[r] for r in ranks))
+
+
 def descending_order(values) -> tuple[int, ...]:
     """Indices that sort values descending, ties in ascending index order.
 
@@ -97,37 +165,36 @@ def check_same_dim(*objects) -> int:
     return dims.pop()
 
 
-def join(first: Point, *rest: Point) -> Point:
-    """Componentwise max."""
-    check_same_dim(first, *rest)
-    coords = list(first.coords)
-    for p in rest:
-        coords = [max(a, b) for a, b in zip(coords, p)]
-    return Point(tuple(coords))
+def join_ranks(points: Iterable[Ranks]) -> Ranks:
+    """Componentwise max of one or more rank points."""
+    return tuple(map(max, zip(*points)))
 
 
-def scale_meet(a: Fraction, x: Point) -> Point:
-    """Meet a scalar into every coordinate: (a ∧ x)_i = min(a, x_i)."""
-    a = as_scalar(a)
-    return Point(tuple(min(a, xi) for xi in x))
+def meet_ranks(a: int, x: Ranks) -> Ranks:
+    """Meet a rank into every coordinate: (a ∧ x)_i = min(a, x_i)."""
+    return tuple(c if c < a else a for c in x)
 
 
-def greatest_meet_coefficient(y: Point, cap: Point) -> Fraction:
+def leq(x: Ranks, y: Ranks) -> bool:
+    """Componentwise x ≤ y (tuple <= is lexicographic, not this)."""
+    return all(a <= b for a, b in zip(x, y))
+
+
+def residual(y: Ranks, cap: Ranks, top: int) -> int:
     """Greatest b with (b ∧ y) ≤ cap.
 
     The feasible b form a down-set, so the residuated value
-    min{cap_i : y_i > cap_i} (1 when no coordinate of y exceeds cap)
+    min{cap_i : y_i > cap_i} (top when no coordinate of y exceeds cap)
     is the exact maximum.
     """
-    check_same_dim(y, cap)
-    best = ONE
+    best = top
     for yi, ci in zip(y, cap):
         if yi > ci and ci < best:
             best = ci
     return best
 
 
-def segment_contains(x: Point, y: Point, z: Point) -> bool:
+def on_segment(x: Ranks, y: Ranks, z: Ranks, top: int) -> bool:
     """Decide z ∈ [x, y], the max-min segment.
 
     Segment points are (a ∧ x) ⊕ (b ∧ y) with max(a, b) = 1.  Fixing a = 1,
@@ -135,10 +202,36 @@ def segment_contains(x: Point, y: Point, z: Point) -> bool:
     greatest b with (b ∧ y) ≤ z.  Same with the roles swapped; z is on the
     segment iff either branch lands exactly on z.
     """
-    check_same_dim(x, y, z)
 
-    def branch(p: Point, q: Point) -> bool:
-        b = greatest_meet_coefficient(q, z)
-        return join(p, scale_meet(b, q)) == z
+    def branch(p: Ranks, q: Ranks) -> bool:
+        return join_ranks((p, meet_ranks(residual(q, z, top), q))) == z
 
     return branch(x, y) or branch(y, x)
+
+
+def join(first: Point, *rest: Point) -> Point:
+    """Componentwise max."""
+    check_same_dim(first, *rest)
+    s = Scale.of(first, *rest)
+    return s.decode(join_ranks(s.encode_all((first, *rest))))
+
+
+def scale_meet(a: Fraction, x: Point) -> Point:
+    """Meet a scalar into every coordinate: (a ∧ x)_i = min(a, x_i)."""
+    a = as_scalar(a)
+    s = Scale((a, *x))
+    return s.decode(meet_ranks(s.rank_of(a), s.encode(x)))
+
+
+def greatest_meet_coefficient(y: Point, cap: Point) -> Fraction:
+    """Greatest b with (b ∧ y) ≤ cap; see residual."""
+    check_same_dim(y, cap)
+    s = Scale.of(y, cap)
+    return s.values[residual(s.encode(y), s.encode(cap), s.top)]
+
+
+def segment_contains(x: Point, y: Point, z: Point) -> bool:
+    """Decide z ∈ [x, y], the max-min segment; see on_segment."""
+    check_same_dim(x, y, z)
+    s = Scale.of(x, y, z)
+    return on_segment(s.encode(x), s.encode(y), s.encode(z), s.top)

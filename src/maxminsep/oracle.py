@@ -5,12 +5,13 @@ certificate by sweeping the grid points where a counterexample could sit,
 and first_grid_separator looks for a separating semispace at every grid
 point in turn.
 
-Sweeps run on ranks, not on scalars.  RankGrid sorts the distinct scalars
-of the instance, the certificate and the grid values k/d and numbers them
-0..K; a point becomes the tuple of its coordinates' ranks.  Max-min
-membership only compares coordinates (hulls take mins and maxes of input
-values), so this order-preserving relabel is exact and the inner loops
-compare small ints.  Only a point that is returned gets decoded.
+Sweeps run on ranks, not on scalars.  RankGrid is the library's Scale
+(see core) of the instance's and the certificate's scalars with the grid
+values k/d added: it numbers them all 0..K, and a point becomes the tuple
+of its coordinates' ranks.  Max-min membership only compares coordinates
+(hulls take mins and maxes of input values), so this order-preserving
+relabel is exact and the inner loops compare small ints.  Only a point
+that is returned gets decoded.
 
 Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
 points inside the box, hull-side sweeps those inside the bounding box of the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .core import Point, check_same_dim
+from .core import Point, RankBox, Ranks, Scale, check_same_dim
 from .convex import Box, GeneratedConvexSet
 from .errors import ResourceLimitError
 from .semispaces import HemispaceDescriptor, SemispaceDescriptor
@@ -148,35 +149,25 @@ def brute_is_convex(points: Iterable[Point], grid: Grid) -> bool:
     return True
 
 
-Ranks = tuple[int, ...]
-RankBox = tuple[Ranks, Ranks]
+class RankGrid(Scale):
+    """A grid and the Scale of the grid values and the coordinates of the
+    given points; axis holds the ranks of the grid values."""
 
-
-class RankGrid:
-    """A grid and an order-preserving rank encoding of the grid values and
-    the coordinates of the given points."""
+    __slots__ = ("grid", "axis")
 
     def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
-        d = grid.denominator
-        grid_values = [Fraction(k, d) for k in range(d + 1)]
+        grid_values = grid.values()
+        super().__init__((*grid_values, *(c for p in points for c in p)))
         self.grid = grid
-        self.values = tuple(sorted(set(grid_values).union(c for p in points for c in p)))
-        self._rank = {v: r for r, v in enumerate(self.values)}
-        self.axis = tuple(self._rank[v] for v in grid_values)
-
-    def encode(self, p: Point) -> Ranks:
-        return tuple(self._rank[c] for c in p)
-
-    def decode(self, ranks: Ranks) -> Point:
-        return Point(tuple(self.values[r] for r in ranks))
+        self.axis = tuple(map(self.rank_of, grid_values))
 
     def box(self, B: Box) -> RankBox:
-        return self.encode(B.lower), self.encode(B.upper)
+        return RankBox(self.encode(B.lower), self.encode(B.upper))
 
     def span(self, C: GeneratedConvexSet) -> RankBox:
         """Bounding box of the generators; it holds the hull."""
         columns = list(zip(*(self.encode(v) for v in C.generators)))
-        return tuple(map(min, columns)), tuple(map(max, columns))
+        return RankBox(tuple(map(min, columns)), tuple(map(max, columns)))
 
     def hull(self, C: GeneratedConvexSet) -> Callable[[Ranks], bool]:
         """Membership in the hull of C.

@@ -5,21 +5,25 @@ axis-parallel box around one of them; if both sit strictly inside the
 square, the box can be complemented by a semispace around the other set.
 The box comes from a fixed candidate list derived from the bounding boxes
 of the two sets; each candidate is validated exactly before being
-returned.
+returned.  The algorithms run on rank tuples (see core); the public
+functions at the end encode their Fraction arguments through one Scale and
+decode the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ONE, ZERO, Point, join
+from .core import Point, RankBox, Ranks, Scale, leq
 from .convex import (
     Box,
     GeneratedConvexSet,
-    bounding_box,
-    box_intersects_hull,
-    hull_contains,
-    hull_intersection_witness,
+    bounds,
+    box_hull_point,
+    decode_box,
+    encode_box,
+    hulls_common_point,
+    in_hull,
 )
 from .errors import (
     BoundaryError,
@@ -28,8 +32,8 @@ from .errors import (
     InternalError,
     IntersectionError,
 )
-from .semispaces import SemispaceDescriptor
-from .separation import SEMISPACE, separate_box
+from .semispaces import SemispaceDescriptor, decode_descriptor
+from .separation import SEMISPACE, separate
 
 
 class RegionLabel(Enum):
@@ -49,10 +53,10 @@ class PlanarExtremes:
     generators, which always lies in the hull.  B0 is the bounding box.
     """
 
-    a: Point
-    b: Point
-    c: Point
-    B0: Box
+    a: Point | Ranks
+    b: Point | Ranks
+    c: Point | Ranks
+    B0: Box | RankBox
 
 
 @dataclass(frozen=True)
@@ -60,87 +64,88 @@ class PlanarBoxCertificate:
     """Which set got boxed (1 or 2) and the separating box."""
 
     boxed_set: int
-    box: Box
+    box: Box | RankBox
 
 
-def _require_planar(*sets: GeneratedConvexSet) -> None:
-    for C in sets:
-        if C.dim != 2:
-            raise DimensionError(f"planar separation needs dimension 2, got {C.dim}")
+def _require_planar(*sets: tuple[Ranks, ...]) -> None:
+    for gens in sets:
+        if len(gens[0]) != 2:
+            raise DimensionError(f"planar separation needs dimension 2, got {len(gens[0])}")
 
 
-def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:
-    """Extremal generators and bounding box of a planar set."""
-    _require_planar(C)
-    gens = C.generators
+def extremes(gens: tuple[Ranks, ...]) -> PlanarExtremes:
+    """Extremal generators and bounding box of a planar set, on ranks."""
+    _require_planar(gens)
     # min is stable, so full ties fall back to input order by themselves
     a = min(gens, key=lambda p: (p[0], p[1]))
     b = min(gens, key=lambda p: (p[1], p[0]))
-    return PlanarExtremes(a=a, b=b, c=join(*gens), B0=bounding_box(C))
+    B0 = bounds(gens)
+    return PlanarExtremes(a=a, b=b, c=B0.upper, B0=B0)
 
 
-def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
+def classify(scale: Scale, E: PlanarExtremes, p: Ranks) -> RegionLabel:
     """Classify a point of the square against the four-region split of B0.
 
     The three corner regions T1, T2, T3 are pairwise disjoint by their
     defining inequalities; what is left of B0 is the hull of {a, b, c},
     which is certified on the spot.
     """
-    if p.dim != 2:
-        raise DimensionError(f"expected a planar point, got dimension {p.dim}")
-    if not E.B0.contains_point(p):
+    if not (leq(E.B0.lower, p) and leq(p, E.B0.upper)):
         return RegionLabel.OUTSIDE
-    x, y = p[0], p[1]
+    x, y = p
     if x < E.b[0] and y < E.a[1]:
         return RegionLabel.T1
     if y > E.a[1] and x < E.c[0] and y > x:
         return RegionLabel.T2
     if x > E.b[0] and y < E.c[1] and y < x:
         return RegionLabel.T3
-    triangle = GeneratedConvexSet((E.a, E.b, E.c))
-    if not hull_contains(triangle, p):
-        raise InternalError(f"residual region point {p} escapes the hull of a, b, c")
+    if not in_hull((E.a, E.b, E.c), p, scale.top):
+        raise InternalError(f"residual region point {scale.decode(p)} escapes the hull of a, b, c")
     return RegionLabel.T0
 
 
-def separate_two_sets(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> PlanarBoxCertificate:
-    """Box one of two disjoint planar sets away from the other.
+def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]) -> PlanarBoxCertificate:
+    """Box one of two disjoint planar sets away from the other, on the ranks
+    of `scale`.
 
-    Tries, in order: the bounding box of C1, of C2, then for each set the
-    four corner boxes spanned by its bounding-box extremes and the square
-    corners.  A candidate wins when it contains its set's bounding box and
-    misses the other hull; the first winner is returned.
+    Tries, in order: the bounding box of the first set, of the second, then
+    for each set the four corner boxes spanned by its bounding-box extremes
+    and the square corners.  A candidate wins when it contains its set's
+    bounding box and misses the other hull; the first winner is returned.
     """
-    _require_planar(C1, C2)
-    shared = hull_intersection_witness(C1, C2)
+    _require_planar(gens1, gens2)
+    top = scale.top
+    shared = hulls_common_point(gens1, gens2, top)
     if shared is not None:
-        raise IntersectionError(f"the hulls share the point {shared}", witness=shared)
-    bb = {1: bounding_box(C1), 2: bounding_box(C2)}
-    candidates: list[tuple[int, Box]] = [(1, bb[1]), (2, bb[2])]
+        point = scale.decode(shared)
+        raise IntersectionError(f"the hulls share the point {point}", witness=point)
+    bb = {1: bounds(gens1), 2: bounds(gens2)}
+    candidates: list[tuple[int, RankBox]] = [(1, bb[1]), (2, bb[2])]
     for which in (2, 1):
         minx, miny = bb[which].lower
         maxx, maxy = bb[which].upper
         candidates.extend(
             (which, box)
             for box in (
-                Box(Point.of(ZERO, ZERO), Point.of(maxx, maxy)),
-                Box(Point.of(ZERO, miny), Point.of(maxx, ONE)),
-                Box(Point.of(minx, ZERO), Point.of(ONE, maxy)),
-                Box(Point.of(minx, miny), Point.of(ONE, ONE)),
+                RankBox((0, 0), (maxx, maxy)),
+                RankBox((0, miny), (maxx, top)),
+                RankBox((minx, 0), (top, maxy)),
+                RankBox((minx, miny), (top, top)),
             )
         )
     for which, box in candidates:
         inner = bb[which]
-        other = C2 if which == 1 else C1
-        if box.lower <= inner.lower and inner.upper <= box.upper and not box_intersects_hull(box, other):
+        other = gens2 if which == 1 else gens1
+        if leq(box.lower, inner.lower) and leq(inner.upper, box.upper) and box_hull_point(box, other, top) is None:
             return PlanarBoxCertificate(boxed_set=which, box=box)
     raise ExhaustionError("no candidate box separates the two sets")
 
 
-def separate_box_semispace(
-    C1: GeneratedConvexSet, C2: GeneratedConvexSet
+def box_and_semispace(
+    scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
 ) -> tuple[PlanarBoxCertificate, SemispaceDescriptor]:
-    """Box one set and wrap the other in a semispace missing the box.
+    """Box one set and wrap the other in a semispace missing the box, on the
+    ranks of `scale`.
 
     Both sets must avoid the square boundary: every generator coordinate
     strictly inside (0, 1).  The separating box is shrunk to the boxed
@@ -148,17 +153,52 @@ def separate_box_semispace(
     its upper bounds then stay below 1, so the box-side condition holds
     and semispace separation of the other set succeeds.
     """
-    _require_planar(C1, C2)
-    for C in (C1, C2):
-        for v in C.generators:
-            if any(c == ZERO or c == ONE for c in v):
-                raise BoundaryError(f"generator {v} touches the square boundary")
-    cert = separate_two_sets(C1, C2)
-    boxed, other = (C1, C2) if cert.boxed_set == 1 else (C2, C1)
-    tight = bounding_box(boxed)
-    if box_intersects_hull(tight, other):
+    _require_planar(gens1, gens2)
+    for gens in (gens1, gens2):
+        for v in gens:
+            if any(c == 0 or c == scale.top for c in v):
+                raise BoundaryError(f"generator {scale.decode(v)} touches the square boundary")
+    cert = box_one_set(scale, gens1, gens2)
+    boxed, other = (gens1, gens2) if cert.boxed_set == 1 else (gens2, gens1)
+    tight = bounds(boxed)
+    if box_hull_point(tight, other, scale.top) is not None:
         raise InternalError("shrunk box meets the other hull despite a valid separator")
-    inner = separate_box(tight, other, with_fallback=False)
+    inner = separate(scale, tight, other, with_fallback=False)
     if inner.outcome != SEMISPACE or not isinstance(inner.separator, SemispaceDescriptor):
         raise InternalError("semispace stage failed although the box stays below 1")
     return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=tight), inner.separator
+
+
+def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:
+    """Extremal generators and bounding box of a planar set; see extremes."""
+    s = Scale.of(*C.generators)
+    E = extremes(s.encode_all(C.generators))
+    return PlanarExtremes(a=s.decode(E.a), b=s.decode(E.b), c=s.decode(E.c), B0=decode_box(s, E.B0))
+
+
+def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
+    """Classify a point of the square against the four-region split of B0;
+    see classify."""
+    if p.dim != 2:
+        raise DimensionError(f"expected a planar point, got dimension {p.dim}")
+    s = Scale.of(E.a, E.b, E.c, E.B0.lower, E.B0.upper, p)
+    ranked = PlanarExtremes(a=s.encode(E.a), b=s.encode(E.b), c=s.encode(E.c), B0=encode_box(s, E.B0))
+    return classify(s, ranked, s.encode(p))
+
+
+def separate_two_sets(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> PlanarBoxCertificate:
+    """Box one of two disjoint planar sets away from the other; see
+    box_one_set."""
+    s = Scale.of(*C1.generators, *C2.generators)
+    cert = box_one_set(s, s.encode_all(C1.generators), s.encode_all(C2.generators))
+    return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=decode_box(s, cert.box))
+
+
+def separate_box_semispace(
+    C1: GeneratedConvexSet, C2: GeneratedConvexSet
+) -> tuple[PlanarBoxCertificate, SemispaceDescriptor]:
+    """Box one set and wrap the other in a semispace missing the box; see
+    box_and_semispace."""
+    s = Scale.of(*C1.generators, *C2.generators)
+    cert, S = box_and_semispace(s, s.encode_all(C1.generators), s.encode_all(C2.generators))
+    return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=decode_box(s, cert.box)), decode_descriptor(s, S)

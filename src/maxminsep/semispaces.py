@@ -14,13 +14,18 @@ after the block of i" in sorted order.  A descriptor holds what the wire
 format holds, x0 and the coordinate i (None for the upper type).  Which
 members actually belong to the family depends on the coordinates of x0
 that sit on the cube boundary; see semispace_family.
+
+Descriptors are plain containers: the kernels here take descriptors whose
+x0 is a rank tuple (see core), the public functions take Fraction points,
+encode them and the descriptor through one Scale, and decode the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from .core import ONE, ZERO, Point, check_same_dim, descending_order
-from .convex import Box, GeneratedConvexSet
+from .core import Point, RankBox, Ranks, Scale, check_same_dim, descending_order
+from .convex import Box, GeneratedConvexSet, encode_box
 
 
 @dataclass(frozen=True)
@@ -38,14 +43,6 @@ class SortedProfile:
     has_one: bool
 
 
-def sorted_profile(x0: Point) -> SortedProfile:
-    """Sort x0 descending and locate its first zero and any one."""
-    perm = descending_order(x0)
-    values = [x0[o] for o in perm]
-    beta = next((p for p, v in enumerate(values, start=1) if v == ZERO), None)
-    return SortedProfile(perm=perm, beta=beta, has_one=values[0] == ONE)
-
-
 @dataclass(frozen=True)
 class SemispaceDescriptor:
     """One semispace: defining point and the 0-based coordinate its first
@@ -56,22 +53,20 @@ class SemispaceDescriptor:
     semispace_family.  The defining point never satisfies the predicate.
     """
 
-    x0: Point
+    x0: Point | Ranks
     coordinate: int | None
 
     def __post_init__(self) -> None:
-        if self.coordinate is not None and not 0 <= self.coordinate < self.x0.dim:
-            raise ValueError(f"semispace coordinate {self.coordinate} outside 0..{self.x0.dim - 1}")
+        if self.coordinate is not None and not 0 <= self.coordinate < len(self.x0):
+            raise ValueError(f"semispace coordinate {self.coordinate} outside 0..{len(self.x0) - 1}")
 
     def canonical_form(self):
         """Hashable identity of the point set the descriptor denotes."""
+        x0 = tuple(self.x0)
         if self.coordinate is None:
-            return ("S0", self.x0.coords)
-        tau = self.x0[self.coordinate]
-        clauses = frozenset(
-            (m, self.x0[m]) for m in range(self.x0.dim) if self.x0[m] < tau
-        )
-        return ("Si", self.coordinate, tau, clauses)
+            return ("S0", x0)
+        tau = x0[self.coordinate]
+        return ("Si", self.coordinate, tau, frozenset((m, a) for m, a in enumerate(x0) if a < tau))
 
 
 @dataclass(frozen=True)
@@ -79,31 +74,93 @@ class HemispaceDescriptor:
     """Union of upper half-spaces over a coordinate subset M:
     {x : x_i > x0_i for some i in M}."""
 
-    x0: Point
+    x0: Point | Ranks
     M: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", frozenset(self.M))
         for i in self.M:
-            if not 0 <= i < self.x0.dim:
+            if not 0 <= i < len(self.x0):
                 raise ValueError(f"coordinate {i} outside the point dimension")
 
 
-def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
-    """Evaluate the membership predicate exactly."""
-    check_same_dim(S.x0, x)
-    x0, o = S.x0, S.coordinate
+Descriptor = SemispaceDescriptor | HemispaceDescriptor
+
+
+def encode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
+    return replace(S, x0=s.encode(S.x0))
+
+
+def decode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
+    return replace(S, x0=s.decode(S.x0))
+
+
+def sorted_positions(x0: Ranks, top: int) -> SortedProfile:
+    """Sort x0 descending and locate its first zero and any one."""
+    perm = descending_order(x0)
+    values = [x0[o] for o in perm]
+    beta = next((p for p, v in enumerate(values, start=1) if v == 0), None)
+    return SortedProfile(perm=perm, beta=beta, has_one=values[0] == top)
+
+
+def family_coordinates(x0: Ranks, top: int) -> list[int | None]:
+    """The family at x0 as coordinates, None for the upper type; see
+    semispace_family."""
+    profile = sorted_positions(x0, top)
+    last = len(x0) if profile.beta is None else profile.beta - 1
+    return ([None] if not profile.has_one else []) + list(profile.perm[:last])
+
+
+def membership(S: Descriptor) -> Callable[[Ranks], bool]:
+    """The membership predicate of a rank descriptor."""
+    x0 = S.x0
+    if isinstance(S, HemispaceDescriptor):
+        M = sorted(S.M)
+        return lambda x: any(x[i] > x0[i] for i in M)
+    o = S.coordinate
     if o is None:
-        return any(x[i] > x0[i] for i in range(x0.dim))
+        return lambda x: any(a > b for a, b in zip(x, x0))
     tau = x0[o]
-    if x[o] < tau:
-        return True
-    return any(x0[m] < tau and x[m] > x0[m] for m in range(x0.dim))
+    watched = [(m, b) for m, b in enumerate(x0) if b < tau]
+    return lambda x: x[o] < tau or any(x[m] > b for m, b in watched)
 
 
-def hemispace_contains(H: HemispaceDescriptor, x: Point) -> bool:
-    check_same_dim(H.x0, x)
-    return any(x[i] > H.x0[i] for i in H.M)
+def misses_box(S: Descriptor, box: RankBox) -> bool:
+    """Exact emptiness of S ∩ box in closed form, on ranks.
+
+    Upper type: every box point is ≤ upper, so avoidance is upper ≤ x0.
+    Index type: the box must sit at or above the threshold coordinate
+    (lower ≥ x0 there) and below x0 on every coordinate the second clause
+    watches (upper ≤ x0 on {m : x0_m < threshold}).  Hemispace: the box
+    must stay below x0 on M.
+    """
+    x0, upper = S.x0, box.upper
+    if isinstance(S, HemispaceDescriptor):
+        return all(upper[i] <= x0[i] for i in S.M)
+    o = S.coordinate
+    if o is None:
+        return all(u <= a for u, a in zip(upper, x0))
+    tau = x0[o]
+    if box.lower[o] < tau:
+        return False
+    return all(u <= a for u, a in zip(upper, x0) if a < tau)
+
+
+def first_outside(gens: tuple[Ranks, ...], S: Descriptor) -> Ranks | None:
+    """Containment oracle on ranks: None if every generator lies in S, else
+    the first failing generator.  Semispaces are max-min convex, so
+    generator containment is equivalent to hull containment."""
+    member = membership(S)
+    for v in gens:
+        if not member(v):
+            return v
+    return None
+
+
+def sorted_profile(x0: Point) -> SortedProfile:
+    """Sort x0 descending and locate its first zero and any one."""
+    s = Scale.of(x0)
+    return sorted_positions(s.encode(x0), s.top)
 
 
 def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
@@ -115,45 +172,44 @@ def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
     dropped.  Sorted positions at and after the first zero coordinate beta
     denote empty sets and are dropped too.
     """
-    profile = sorted_profile(x0)
-    last = x0.dim if profile.beta is None else profile.beta - 1
-    family = [SemispaceDescriptor(x0, None)] if not profile.has_one else []
-    family += [SemispaceDescriptor(x0, o) for o in profile.perm[:last]]
-    return family
+    s = Scale.of(x0)
+    return [SemispaceDescriptor(x0, o) for o in family_coordinates(s.encode(x0), s.top)]
+
+
+def _contains(S: Descriptor, x: Point) -> bool:
+    check_same_dim(S.x0, x)
+    s = Scale.of(S.x0, x)
+    return membership(encode_descriptor(s, S))(s.encode(x))
+
+
+def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
+    """Evaluate the membership predicate exactly."""
+    return _contains(S, x)
+
+
+def hemispace_contains(H: HemispaceDescriptor, x: Point) -> bool:
+    return _contains(H, x)
+
+
+def _avoids(S: Descriptor, B: Box) -> bool:
+    check_same_dim(S.x0, B.lower)
+    s = Scale.of(S.x0, B.lower, B.upper)
+    return misses_box(encode_descriptor(s, S), encode_box(s, B))
 
 
 def semispace_avoids_box(S: SemispaceDescriptor, B: Box) -> bool:
-    """Exact emptiness of S ∩ B in closed form.
-
-    Upper type: every box point is ≤ upper, so avoidance is upper ≤ x0.
-    Index type: the box must sit at or above the threshold coordinate
-    (lower ≥ x0 there) and below x0 on every coordinate the second clause
-    watches (upper ≤ x0 on {m : x0_m < threshold}).
-    """
-    check_same_dim(S.x0, B.lower)
-    x0, o = S.x0, S.coordinate
-    if o is None:
-        return B.upper <= x0
-    tau = x0[o]
-    if B.lower[o] < tau:
-        return False
-    return all(B.upper[m] <= x0[m] for m in range(x0.dim) if x0[m] < tau)
+    """Exact emptiness of S ∩ B; see misses_box."""
+    return _avoids(S, B)
 
 
 def hemispace_avoids_box(H: HemispaceDescriptor, B: Box) -> bool:
     """Exact emptiness of H ∩ B: the box must stay below x0 on M."""
-    check_same_dim(H.x0, B.lower)
-    return all(B.upper[i] <= H.x0[i] for i in H.M)
+    return _avoids(H, B)
 
 
-def set_in_semispace(
-    C: GeneratedConvexSet, S: SemispaceDescriptor | HemispaceDescriptor
-) -> Point | None:
+def set_in_semispace(C: GeneratedConvexSet, S: Descriptor) -> Point | None:
     """Containment oracle: None if every generator lies in S, else the first
-    failing generator.  Semispaces are max-min convex, so generator
-    containment is equivalent to hull containment."""
-    member = hemispace_contains if isinstance(S, HemispaceDescriptor) else semispace_contains
-    for v in C.generators:
-        if not member(S, v):
-            return v
-    return None
+    failing generator; see first_outside."""
+    s = Scale.of(S.x0, *C.generators)
+    w = first_outside(s.encode_all(C.generators), encode_descriptor(s, S))
+    return None if w is None else s.decode(w)

@@ -14,23 +14,40 @@ assert_nonseparable confirms it by exhaustive grid search.
 
 The pipeline spends at most n+1 containment sweeps over the generators
 (oracle_calls in the certificate).  Every returned separator is re-checked
-defensively: containment of the set and emptiness against the box.
+defensively: containment of the set and emptiness against the box.  A
+broken invariant raises InternalError naming the stage and the number of
+sweeps traced so far.
+
+The pipeline runs on rank tuples (see core): separate, upper_profile and
+lower_stages are the algorithms, and separate_box, box_profile and
+lower_partition encode their Fraction arguments through one Scale and
+decode the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import ONE, Point, check_same_dim, descending_order, join, scale_meet
-from .convex import Box, GeneratedConvexSet, box_hull_witness
+from .core import (
+    Point,
+    RankBox,
+    Ranks,
+    Scale,
+    check_same_dim,
+    descending_order,
+    join_ranks,
+    meet_ranks,
+)
+from .convex import Box, GeneratedConvexSet, box_hull_point, box_hull_witness, encode_box
 from .errors import InternalError, IntersectionError
 from .oracle import Grid, first_grid_separator
 from .semispaces import (
+    Descriptor,
     HemispaceDescriptor,
     SemispaceDescriptor,
-    hemispace_avoids_box,
-    semispace_avoids_box,
-    set_in_semispace,
+    decode_descriptor,
+    first_outside,
+    misses_box,
 )
 
 SEMISPACE = "semispace"
@@ -54,7 +71,7 @@ class BoxProfile:
     upper_perm: tuple[int, ...]
     t: int
     l: int
-    u: Point
+    u: Point | Ranks
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,7 @@ class PartitionStage:
 
     s: int
     members: frozenset[int]
-    level: Fraction
+    level: Fraction | int
 
 
 @dataclass(frozen=True)
@@ -79,8 +96,8 @@ class TraceEntry:
     escaped it (None when the candidate worked)."""
 
     stage: int
-    candidate: SemispaceDescriptor | HemispaceDescriptor
-    witness: Point | None
+    candidate: Descriptor
+    witness: Point | Ranks | None
     iteration: int | None = None
     position: int | None = None
 
@@ -88,8 +105,8 @@ class TraceEntry:
 @dataclass(frozen=True)
 class SeparationCertificate:
     outcome: str
-    separator: SemispaceDescriptor | HemispaceDescriptor | None
-    witness: Point | None
+    separator: Descriptor | None
+    witness: Point | Ranks | None
     oracle_calls: int
     trace: tuple[TraceEntry, ...]
 
@@ -98,20 +115,20 @@ class SeparationCertificate:
         return self.outcome in (SEMISPACE, HEMISPACE)
 
 
-def _unsort(perm: tuple[int, ...], values) -> Point:
+def _unsort(perm: tuple[int, ...], values) -> Ranks:
     """The point whose coordinate perm[q] is values[q]: undo a sort."""
-    coords = [None] * len(perm)
+    coords = [0] * len(perm)
     for o, v in zip(perm, values):
         coords[o] = v
-    return Point(tuple(coords))
+    return tuple(coords)
 
 
-def box_profile(B: Box) -> BoxProfile:
+def upper_profile(box: RankBox) -> BoxProfile:
     """Sort upper bounds descending and locate the threshold t and level u."""
-    n = B.dim
-    perm = descending_order(B.upper)
-    ups = [B.upper[o] for o in perm]
-    lows = [B.lower[o] for o in perm]
+    n = len(box.lower)
+    perm = descending_order(box.upper)
+    ups = [box.upper[o] for o in perm]
+    lows = [box.lower[o] for o in perm]
     prefix_max = []
     running = None
     for v in lows:
@@ -123,7 +140,7 @@ def box_profile(B: Box) -> BoxProfile:
     return BoxProfile(upper_perm=perm, t=t, l=l, u=_unsort(perm, [peak] * t + ups[t:]))
 
 
-def lower_partition(B: Box) -> PartitionProfile:
+def lower_stages(box: RankBox) -> PartitionProfile:
     """Partition the lower-sorted positions into stages of one level each.
 
     With lower bounds sorted descending, stage k takes the smallest
@@ -133,10 +150,10 @@ def lower_partition(B: Box) -> PartitionProfile:
     The stage level a_k is the least upper bound among stage members, and
     it lies inside [lower, upper] of every remaining position ≥ s.
     """
-    n = B.dim
-    perm = descending_order(B.lower)
-    lows = [B.lower[o] for o in perm]
-    ups = [B.upper[o] for o in perm]
+    n = len(box.lower)
+    perm = descending_order(box.lower)
+    lows = [box.lower[o] for o in perm]
+    ups = [box.upper[o] for o in perm]
     remaining = set(range(1, n + 1))
     stages: list[PartitionStage] = []
     for _ in range(n):
@@ -167,15 +184,16 @@ def lower_partition(B: Box) -> PartitionProfile:
     return PartitionProfile(lower_perm=perm, stages=tuple(stages))
 
 
-def separate_box(
-    B: Box, C: GeneratedConvexSet, *, with_fallback: bool = True
+def separate(
+    scale: Scale, box: RankBox, gens: tuple[Ranks, ...], *, with_fallback: bool = True
 ) -> SeparationCertificate:
-    """Separate a box from a disjoint generated set, with certificate.
+    """Separate a box from a disjoint generated set, with certificate, on
+    the ranks of `scale`.
 
     Candidates are tried in a fixed order: the upper-type semispace at
-    B.upper when no upper bound reaches 1; otherwise the semispace levelled
-    at the dominant lower bound of the box profile; then per failing
-    lower-sorted position (largest first, one band of positions per
+    the upper corner when no upper bound reaches 1; otherwise the semispace
+    levelled at the dominant lower bound of the box profile; then per
+    failing lower-sorted position (largest first, one band of positions per
     round) the semispace whose clause set is the union of the earlier
     partition stages.  Every failed sweep returns a generator, and the
     join of the stage-level meets of those generators with the running
@@ -185,37 +203,33 @@ def separate_box(
     positions where the witness beats the upper bound are never tried).
     Raises IntersectionError when box and hull share a point.
     """
-    check_same_dim(B.lower, C.generators[0])
-    shared = box_hull_witness(B, C)
+    top = scale.top
+    lower, upper = box
+    shared = box_hull_point(box, gens, top)
     if shared is not None:
-        raise IntersectionError(f"box and hull share the point {shared}", witness=shared)
-    n = B.dim
-    calls = 0
+        point = scale.decode(shared)
+        raise IntersectionError(f"box and hull share the point {point}", witness=point)
+    n = len(lower)
     trace: list[TraceEntry] = []
 
+    def fault(message, stage):
+        return InternalError(f"{message} (stage {stage}, {len(trace)} sweeps traced)")
+
     def sweep(S, stage, iteration=None, position=None):
-        nonlocal calls
-        calls += 1
-        if calls > n + 1:
-            raise InternalError("separation exceeded the n+1 oracle budget")
-        w = set_in_semispace(C, S)
+        if len(trace) >= n + 1:
+            raise fault("separation exceeded the n+1 oracle budget", stage)
+        w = first_outside(gens, S)
         trace.append(TraceEntry(stage, S, w, iteration, position))
-        if w is None:
-            avoids = (
-                hemispace_avoids_box(S, B)
-                if isinstance(S, HemispaceDescriptor)
-                else semispace_avoids_box(S, B)
-            )
-            if not avoids:
-                raise InternalError("pipeline candidate contains the set but meets the box")
+        if w is None and not misses_box(S, box):
+            raise fault("pipeline candidate contains the set but meets the box", stage)
         return w
 
     def done(outcome, separator=None, witness=None):
-        return SeparationCertificate(outcome, separator, witness, calls, tuple(trace))
+        return SeparationCertificate(outcome, separator, witness, len(trace), tuple(trace))
 
-    profile = box_profile(B)
-    if all(v < ONE for v in B.upper):
-        S = SemispaceDescriptor(B.upper, None)
+    profile = upper_profile(box)
+    if all(v < top for v in upper):
+        S = SemispaceDescriptor(upper, None)
         y = sweep(S, stage=1)
     else:
         S = SemispaceDescriptor(profile.u, profile.upper_perm[profile.l - 1])
@@ -223,10 +237,10 @@ def separate_box(
     if y is None:
         return done(SEMISPACE, S)
 
-    part = lower_partition(B)
+    part = lower_stages(box)
     perm = part.lower_perm
-    lows = [B.lower[o] for o in perm]
-    ups = [B.upper[o] for o in perm]
+    lows = [lower[o] for o in perm]
+    ups = [upper[o] for o in perm]
     stages = part.stages
 
     # at most one round per partition stage, plus the round that sees no
@@ -257,24 +271,68 @@ def separate_box(
                 return done(SEMISPACE, S)
             witnesses.append(w)
         level = stages[k].level
-        y = join(y, *(scale_meet(level, w) for w in witnesses))
+        y = join_ranks([y, *(meet_ranks(level, w) for w in witnesses)])
     else:
-        raise InternalError("separation loop exceeded the dimension bound")
+        raise fault("separation loop exceeded the dimension bound", 3)
 
-    exceed = [i for i in range(n) if y[i] > B.upper[i]]
+    exceed = [i for i in range(n) if y[i] > upper[i]]
     if not exceed:
-        raise InternalError("final witness lies inside the box; inputs were not disjoint")
+        raise fault("final witness lies inside the box; inputs were not disjoint", 3)
     pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
     if any(pos_of[i] > profile.t for i in exceed):
-        raise InternalError("final witness escapes the box beyond the profile threshold")
+        raise fault("final witness escapes the box beyond the profile threshold", 3)
 
     if with_fallback:
-        M = frozenset(i for i in range(n) if B.upper[i] < ONE)
-        H = HemispaceDescriptor(B.upper, M)
+        H = HemispaceDescriptor(upper, frozenset(i for i in range(n) if upper[i] < top))
         w = sweep(H, stage=4)
         if w is None:
             return done(HEMISPACE, H)
     return done(NOT_SEPARABLE, witness=y)
+
+
+def decode_certificate(scale: Scale, cert: SeparationCertificate) -> SeparationCertificate:
+    """The certificate with every rank point decoded through `scale`."""
+
+    def point(p):
+        return None if p is None else scale.decode(p)
+
+    return SeparationCertificate(
+        cert.outcome,
+        None if cert.separator is None else decode_descriptor(scale, cert.separator),
+        point(cert.witness),
+        cert.oracle_calls,
+        tuple(
+            replace(e, candidate=decode_descriptor(scale, e.candidate), witness=point(e.witness))
+            for e in cert.trace
+        ),
+    )
+
+
+def box_profile(B: Box) -> BoxProfile:
+    """Sort upper bounds descending and locate the threshold t and level u;
+    see upper_profile."""
+    s = Scale.of(B.lower, B.upper)
+    profile = upper_profile(encode_box(s, B))
+    return replace(profile, u=s.decode(profile.u))
+
+
+def lower_partition(B: Box) -> PartitionProfile:
+    """Partition the lower-sorted positions into stages; see lower_stages."""
+    s = Scale.of(B.lower, B.upper)
+    part = lower_stages(encode_box(s, B))
+    stages = tuple(replace(st, level=s.values[st.level]) for st in part.stages)
+    return replace(part, stages=stages)
+
+
+def separate_box(
+    B: Box, C: GeneratedConvexSet, *, with_fallback: bool = True
+) -> SeparationCertificate:
+    """Separate a box from a disjoint generated set, with certificate; see
+    separate."""
+    check_same_dim(B.lower, C.generators[0])
+    s = Scale.of(B.lower, B.upper, *C.generators)
+    cert = separate(s, encode_box(s, B), s.encode_all(C.generators), with_fallback=with_fallback)
+    return decode_certificate(s, cert)
 
 
 def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:

@@ -5,6 +5,14 @@ fractions ("7/20"); both parse, and formatting is canonical (decimal
 whenever the reduced denominator divides a power of ten, fraction
 otherwise), so identical inputs always serialize to identical bytes.
 Coordinate indices are 1-based on the wire.
+
+Reading a document goes through a ScalarTable: every point is validated
+as a list of strings, and each distinct string is parsed once, with every
+check of parse_scalar.  The table then either decodes the points to
+Fraction (instance_from_dict and the other *_from_* functions) or binds
+the values to a Scale and encodes the points to ranks (read_rank_instance,
+which the CLI uses).  Emitting a certificate of a RankInstance formats each
+rank of its Scale once and looks the strings up.
 """
 from __future__ import annotations
 
@@ -12,11 +20,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .core import Point, as_scalar
+from .core import Point, RankBox, Ranks, Scale, as_scalar
 from .convex import Box, GeneratedConvexSet
-from .errors import ParseError
-from .semispaces import HemispaceDescriptor, SemispaceDescriptor
+from .errors import DimensionError, ParseError
+from .semispaces import Descriptor, HemispaceDescriptor, SemispaceDescriptor
 from .separation import SeparationCertificate, TraceEntry
 from .planar import PlanarBoxCertificate
 
@@ -56,7 +65,8 @@ def json_int(value, what: str) -> int:
 
 def format_scalar(v: Fraction) -> str:
     """Canonical exact string: decimal when the denominator allows it."""
-    v = Fraction(v)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
     if v.denominator == 1:
         return str(v.numerator)
     rest = v.denominator
@@ -74,27 +84,83 @@ def format_scalar(v: Fraction) -> str:
     return f"{scaled // 10**k}.{scaled % 10**k:0{k}d}"
 
 
+class ScalarTable:
+    """The scalar strings of one document, each distinct string parsed once.
+
+    Only JSON strings are looked up, so a number or a list in place of a
+    scalar reaches parse_scalar and is refused there.  bind numbers the
+    parsed values on a Scale of their own; encode then maps a point's
+    strings to ranks.
+    """
+
+    def __init__(self) -> None:
+        self.parsed: dict[str, Fraction] = {}
+        self.code: dict[str, int] = {}
+
+    def point(self, data) -> tuple[str, ...]:
+        """Validate a point given as a list of scalar strings."""
+        if not isinstance(data, list) or not data:
+            raise ParseError(f"point must be a non-empty list of scalars, got {data!r}")
+        parsed = self.parsed
+        for text in data:
+            if not (isinstance(text, str) and text in parsed):
+                parsed[text] = parse_scalar(text)
+        return tuple(data)
+
+    def bind(self) -> Scale:
+        scale = Scale(self.parsed.values())
+        rank_of = scale.rank_of
+        self.code = {text: rank_of(v) for text, v in self.parsed.items()}
+        return scale
+
+    def encode(self, strings: tuple[str, ...]) -> Ranks:
+        code = self.code
+        return tuple(code[text] for text in strings)
+
+    def decode(self, strings: tuple[str, ...]) -> Point:
+        parsed = self.parsed
+        return Point(tuple(parsed[text] for text in strings))
+
+
 def point_to_list(p: Point) -> list[str]:
     return [format_scalar(c) for c in p]
 
 
 def point_from_list(data) -> Point:
-    if not isinstance(data, list) or not data:
-        raise ParseError(f"point must be a non-empty list of scalars, got {data!r}")
-    return Point(tuple(parse_scalar(c) for c in data))
+    table = ScalarTable()
+    return table.decode(table.point(data))
 
 
-def box_to_dict(B: Box) -> dict:
-    return {"lower": point_to_list(B.lower), "upper": point_to_list(B.upper)}
+def _read_box(data, table: ScalarTable) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    if not isinstance(data, dict) or set(data) != {"lower", "upper"}:
+        raise ParseError(f"box must be an object with lower and upper, got {data!r}")
+    lower, upper = table.point(data["lower"]), table.point(data["upper"])
+    if len(lower) != len(upper):
+        raise DimensionError(f"mixed dimensions: {sorted({len(lower), len(upper)})}")
+    parsed = table.parsed
+    if any(parsed[a] > parsed[b] for a, b in zip(lower, upper)):
+        raise ParseError(f"box lower bound {table.decode(lower)} exceeds upper bound {table.decode(upper)}")
+    return lower, upper
+
+
+def box_to_dict(B: Box | RankBox, fmt: Callable = point_to_list) -> dict:
+    return {"lower": fmt(B.lower), "upper": fmt(B.upper)}
 
 
 def box_from_dict(data) -> Box:
-    if not isinstance(data, dict) or set(data) != {"lower", "upper"}:
-        raise ParseError(f"box must be an object with lower and upper, got {data!r}")
-    try:
-        return Box(point_from_list(data["lower"]), point_from_list(data["upper"]))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    table = ScalarTable()
+    lower, upper = _read_box(data, table)
+    return Box(table.decode(lower), table.decode(upper))
+
+
+def _read_set(data, table: ScalarTable) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(data, list) or not data:
+        raise ParseError("a generator list must hold at least one point")
+    gens = tuple(table.point(p) for p in data)
+    dims = {len(v) for v in gens}
+    if len(dims) != 1:
+        raise DimensionError(f"mixed dimensions: {sorted(dims)}")
+    return gens
 
 
 def set_to_list(C: GeneratedConvexSet) -> list[list[str]]:
@@ -102,24 +168,23 @@ def set_to_list(C: GeneratedConvexSet) -> list[list[str]]:
 
 
 def set_from_list(data) -> GeneratedConvexSet:
-    if not isinstance(data, list) or not data:
-        raise ParseError("a generator list must hold at least one point")
-    return GeneratedConvexSet(tuple(point_from_list(p) for p in data))
+    table = ScalarTable()
+    return GeneratedConvexSet(tuple(map(table.decode, _read_set(data, table))))
 
 
-def descriptor_to_dict(S: SemispaceDescriptor | HemispaceDescriptor) -> dict:
+def descriptor_to_dict(S: Descriptor, fmt: Callable = point_to_list) -> dict:
     if isinstance(S, HemispaceDescriptor):
         return {
             "type": "S0",
-            "x0": point_to_list(S.x0),
+            "x0": fmt(S.x0),
             "M": sorted(i + 1 for i in S.M),
         }
     if S.coordinate is None:
-        return {"type": "S0", "x0": point_to_list(S.x0)}
-    return {"type": "Si", "x0": point_to_list(S.x0), "i": S.coordinate + 1}
+        return {"type": "S0", "x0": fmt(S.x0)}
+    return {"type": "Si", "x0": fmt(S.x0), "i": S.coordinate + 1}
 
 
-def descriptor_from_dict(data) -> SemispaceDescriptor | HemispaceDescriptor:
+def descriptor_from_dict(data) -> Descriptor:
     if not isinstance(data, dict) or "type" not in data or "x0" not in data:
         raise ParseError(f"descriptor must carry type and x0, got {data!r}")
     x0 = point_from_list(data["x0"])
@@ -164,7 +229,27 @@ class Instance:
         return list(self.sets.values())
 
 
-def instance_from_dict(data) -> Instance:
+class RankInstance(NamedTuple):
+    """An instance on the ranks of its own Scale: the box as a RankBox and
+    each generated set as its tuple of rank points.  The Scale holds the
+    instance's scalars and no others, and lives as long as the instance.
+    A NamedTuple: cheaper than a dataclass to create at import, which every
+    CLI launch pays for."""
+
+    dimension: int
+    scale: Scale
+    box: RankBox | None
+    sets: dict[str, tuple[Ranks, ...]]
+    options: Options
+
+    def set_list(self) -> list[tuple[Ranks, ...]]:
+        return list(self.sets.values())
+
+
+def _read_instance(data, table: ScalarTable) -> Instance:
+    """Validate an instance document and parse its scalars into `table`.
+    The result holds every point as its tuple of scalar strings, a box as
+    the pair of its corners."""
     if not isinstance(data, dict):
         raise ParseError("instance must be a JSON object")
     unknown = set(data) - {"dimension", "box", "sets", "options"}
@@ -173,20 +258,20 @@ def instance_from_dict(data) -> Instance:
     n = json_int(data.get("dimension"), "the instance dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
-    box = box_from_dict(data["box"]) if data.get("box") is not None else None
-    if box is not None and box.dim != n:
-        raise ParseError(f"box dimension {box.dim} does not match instance dimension {n}")
+    box = _read_box(data["box"], table) if data.get("box") is not None else None
+    if box is not None and len(box[0]) != n:
+        raise ParseError(f"box dimension {len(box[0])} does not match instance dimension {n}")
     raw_sets = data.get("sets")
     if raw_sets is None:
         raw_sets = {}
     elif not isinstance(raw_sets, dict):
         raise ParseError("sets must be an object mapping names to generator lists")
-    sets: dict[str, GeneratedConvexSet] = {}
+    sets = {}
     for name, gens in raw_sets.items():
-        C = set_from_list(gens)
-        if C.dim != n:
-            raise ParseError(f"set {name!r} has dimension {C.dim}, expected {n}")
-        sets[name] = C
+        gens = _read_set(gens, table)
+        if len(gens[0]) != n:
+            raise ParseError(f"set {name!r} has dimension {len(gens[0])}, expected {n}")
+        sets[name] = gens
     raw = data.get("options") or {}
     if not isinstance(raw, dict):
         raise ParseError("options must be an object")
@@ -202,56 +287,104 @@ def instance_from_dict(data) -> Instance:
     return Instance(dimension=n, box=box, sets=sets, options=Options(grid, fallback))
 
 
-def instance_to_dict(inst: Instance) -> dict:
+def instance_from_dict(data) -> Instance:
+    table = ScalarTable()
+    raw = _read_instance(data, table)
+    point = table.decode
+    return Instance(
+        dimension=raw.dimension,
+        box=None if raw.box is None else Box(point(raw.box[0]), point(raw.box[1])),
+        sets={name: GeneratedConvexSet(tuple(map(point, gens))) for name, gens in raw.sets.items()},
+        options=raw.options,
+    )
+
+
+def read_rank_instance(text: str) -> RankInstance:
+    """Parse an instance document straight to ranks, on a Scale of its own
+    scalars."""
+    table = ScalarTable()
+    raw = _read_instance(_loads(text), table)
+    scale = table.bind()
+    code = table.encode
+    return RankInstance(
+        dimension=raw.dimension,
+        scale=scale,
+        box=None if raw.box is None else RankBox(code(raw.box[0]), code(raw.box[1])),
+        sets={name: tuple(map(code, gens)) for name, gens in raw.sets.items()},
+        options=raw.options,
+    )
+
+
+def _formatter(inst: Instance | RankInstance) -> Callable:
+    """Point formatting for an instance: through a table of the canonical
+    strings of its ranks, or coordinate by coordinate for Fraction points."""
+    if isinstance(inst, RankInstance):
+        names = [format_scalar(v) for v in inst.scale.values]
+        return lambda p: [names[r] for r in p]
+    return point_to_list
+
+
+def instance_to_dict(inst: Instance | RankInstance, fmt: Callable | None = None) -> dict:
+    fmt = fmt or _formatter(inst)
+    ranked = isinstance(inst, RankInstance)
     return {
         "dimension": inst.dimension,
-        "box": box_to_dict(inst.box) if inst.box is not None else None,
-        "sets": {name: set_to_list(C) for name, C in inst.sets.items()},
+        "box": box_to_dict(inst.box, fmt) if inst.box is not None else None,
+        "sets": {name: [fmt(v) for v in (C if ranked else C.generators)] for name, C in inst.sets.items()},
         "options": {"grid": inst.options.grid, "fallback": inst.options.fallback},
     }
 
 
-def parse_instance(text: str) -> Instance:
+def _loads(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    return instance_from_dict(data)
 
 
-def _trace_entry_to_dict(entry: TraceEntry) -> dict:
+def parse_instance(text: str) -> Instance:
+    return instance_from_dict(_loads(text))
+
+
+def _trace_entry_to_dict(entry: TraceEntry, fmt: Callable) -> dict:
     return {
         "stage": entry.stage,
         "iteration": entry.iteration,
         "position": entry.position,
-        "candidate": descriptor_to_dict(entry.candidate),
-        "witness": point_to_list(entry.witness) if entry.witness is not None else None,
+        "candidate": descriptor_to_dict(entry.candidate, fmt),
+        "witness": fmt(entry.witness) if entry.witness is not None else None,
     }
 
 
-def certificate_to_dict(cert: SeparationCertificate, inst: Instance) -> dict:
+def certificate_to_dict(cert: SeparationCertificate, inst: Instance | RankInstance) -> dict:
+    """A box certificate; on a RankInstance its points are ranks of the
+    instance's Scale."""
+    fmt = _formatter(inst)
     return {
         "kind": "box",
-        "instance": instance_to_dict(inst),
+        "instance": instance_to_dict(inst, fmt),
         "outcome": cert.outcome,
-        "separator": descriptor_to_dict(cert.separator) if cert.separator else None,
-        "witness": point_to_list(cert.witness) if cert.witness is not None else None,
+        "separator": descriptor_to_dict(cert.separator, fmt) if cert.separator else None,
+        "witness": fmt(cert.witness) if cert.witness is not None else None,
         "oracle_calls": cert.oracle_calls,
-        "trace": [_trace_entry_to_dict(e) for e in cert.trace],
+        "trace": [_trace_entry_to_dict(e, fmt) for e in cert.trace],
     }
 
 
 def planar_certificate_to_dict(
     cert: PlanarBoxCertificate,
-    inst: Instance,
+    inst: Instance | RankInstance,
     semispace: SemispaceDescriptor | None = None,
 ) -> dict:
+    """A two-set certificate; on a RankInstance its points are ranks of the
+    instance's Scale."""
+    fmt = _formatter(inst)
     return {
         "kind": "two-set",
-        "instance": instance_to_dict(inst),
+        "instance": instance_to_dict(inst, fmt),
         "boxed_set": cert.boxed_set,
-        "box": box_to_dict(cert.box),
-        "semispace": descriptor_to_dict(semispace) if semispace is not None else None,
+        "box": box_to_dict(cert.box, fmt),
+        "semispace": descriptor_to_dict(semispace, fmt) if semispace is not None else None,
     }
 
 

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import maxminsep
+from maxminsep import ParseError
 from maxminsep.cli import main
+from maxminsep.serialize import read_rank_instance
 
 SEPARABLE = {
     "dimension": 2,
@@ -120,6 +123,50 @@ class TestSeparateBox:
         code, _, err = run(capsys, ["separate-box", "-i", inst])
         assert code == 1
         assert "error:" in err
+
+
+class TestScalarDedupe:
+    """Each distinct scalar string of an instance is parsed once and values
+    share a rank; every check of the scalar parser still applies."""
+
+    def test_equal_values_share_a_rank_and_print_canonically(self, tmp_path, capsys):
+        doc = {
+            "dimension": 2,
+            "box": {"lower": ["0.1", "0.1"], "upper": ["0.5", "1/2"]},
+            "sets": {"C": [["0.50", "0.9"], ["1/2", "0.95"]]},
+        }
+        path = write_instance(tmp_path, doc)
+        inst = read_rank_instance(Path(path).read_text(encoding="utf-8"))
+        assert inst.box.upper[0] == inst.box.upper[1] == inst.sets["C"][0][0] == inst.sets["C"][1][0]
+        assert inst.scale.values == tuple(map(Fraction, ("0", "0.1", "0.5", "0.9", "0.95", "1")))
+        code, out, _ = run(capsys, ["separate-box", "-i", path])
+        assert code == 0
+        data = json.loads(out)
+        assert data["instance"]["box"]["upper"] == ["0.5", "0.5"]
+        assert [v[0] for v in data["instance"]["sets"]["C"]] == ["0.5", "0.5"]
+        assert data["separator"] == {"type": "S0", "x0": ["0.5", "0.5"]}
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [["0." + "1" * 300, "0.9"]] * 40,
+            [["0.5", "0.9"], [0.5, "0.9"]],
+            [["1", "0.9"], [1, "0.9"]],
+            [["0.5", "0.9"], [True, "0.9"]],
+            [["0.5", "0.9"], [["0.5"], "0.9"]],
+            [["1.5", "0.9"]] * 3,
+            [["0.5", "0.9"], ["3/2", "0.9"]],
+            [["-0.1", "0.9"], ["-0.1", "0.9"]],
+        ],
+        ids=["301-digits", "float", "int", "bool", "list", "above-1", "fraction-above-1", "negative"],
+    )
+    def test_rejected_scalars_stay_parse_errors(self, tmp_path, capsys, gens):
+        code, out, err = run(capsys, ["separate-box", "-i", write_instance(tmp_path, dict(SEPARABLE, sets={"C": gens}))])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        with pytest.raises(ParseError):
+            read_rank_instance(json.dumps(dict(SEPARABLE, sets={"C": gens})))
 
 
 class TestSeparateTwoSets:

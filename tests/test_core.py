@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maxminsep import (
     ONE,
+    ZERO,
     DimensionError,
     Grid,
     Point,
@@ -16,6 +17,7 @@ from maxminsep import (
     scale_meet,
     segment_contains,
 )
+from maxminsep.core import Scale
 from helpers import brute_segment, combo, pt
 
 scalars = st.fractions(min_value=0, max_value=1)
@@ -42,6 +44,22 @@ class TestAsScalar:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             as_scalar(bad)
+
+
+class TestScale:
+    def test_orders_exactly_where_floats_tie(self):
+        # the three values share one float; the exact order must win
+        tiny = [Fraction(1, 10**20), Fraction(1, 10**20 + 1), Fraction(1, 10**20 - 1)]
+        s = Scale(tiny + tiny[::-1])
+        assert s.values == (ZERO, *sorted(tiny), ONE)
+        assert [s.rank_of(v) for v in tiny] == [2, 1, 3]
+        assert s.top == 4
+
+    def test_equal_values_share_a_rank(self):
+        s = Scale([Fraction(1, 2), as_scalar("0.50"), as_scalar("2/4"), ONE])
+        assert s.values == (ZERO, Fraction(1, 2), ONE)
+        assert s.encode(pt("0.5,1,0")) == (1, 2, 0)
+        assert s.decode((1, 2, 0)) == pt("0.5,1,0")
 
 
 class TestPoint:

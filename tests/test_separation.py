@@ -1,4 +1,5 @@
 """The separation pipeline: profiles, partitions, certificates, referees."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from maxminsep import (
     GeneratedConvexSet,
     Grid,
     HemispaceDescriptor,
+    InternalError,
     IntersectionError,
     Point,
     assert_nonseparable,
@@ -27,6 +29,8 @@ from maxminsep import (
     separate_box,
     set_in_semispace,
 )
+from maxminsep import separation
+from maxminsep.cli import main
 from helpers import box, gset, pt
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
@@ -169,6 +173,24 @@ class TestSeparateBoxExamples:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             separate_box(box("0.1,0.1", "0.2,0.2"), gset("0.5,0.5,0.5"))
+
+    def test_pipeline_fault_names_stage_and_trace_length(self, monkeypatch, tmp_path, capsys):
+        # a containment oracle that rejects every candidate with the same
+        # generator leaves the witness where it is, so the band rounds run
+        # into the n+1 sweep budget
+        monkeypatch.setattr(separation, "first_outside", lambda gens, S: gens[0])
+        expected = "separation exceeded the n+1 oracle budget (stage 3, 4 sweeps traced)"
+        with pytest.raises(InternalError) as err:
+            separate_box(box("0.2,0.2,0.2", "0.8,0.5,0.6"), gset("0.1,0.8,0.9"))
+        assert str(err.value) == expected
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "dimension": 3,
+            "box": {"lower": ["0.2", "0.2", "0.2"], "upper": ["0.8", "0.5", "0.6"]},
+            "sets": {"C": [["0.1", "0.8", "0.9"]]},
+        }), encoding="utf-8")
+        assert main(["separate-box", "-i", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 class TestSeparateBoxProperties:
