@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .core import Point, check_same_dim
 from .convex import box_intersects_hull, bounding_box
 from .errors import MaxMinError, ParseError
-from .oracle import Grid, RankGrid, first_grid_separator
+from .oracle import Grid, RankGrid
 from .semispaces import (
     HemispaceDescriptor,
     hemispace_avoids_box,
@@ -119,7 +118,7 @@ def _check(checks: list, name: str, ok: bool) -> None:
 
 
 def _sweep(checks: list, name: str, point: Point | None) -> None:
-    """Record a grid sweep; a failed one names its first offending point."""
+    """Record a check that names its offending point when it fails."""
     _check(checks, name, point is None)
     if point is not None:
         checks[-1]["point"] = serialize.point_to_list(point)
@@ -176,12 +175,8 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
             "witness escapes inside the profile threshold",
             bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
         )
-        separates = not assert_nonseparable(B, C, Fraction(1, grid.denominator))
-        _sweep(
-            checks,
-            "no grid semispace separates",
-            first_grid_separator(B, C, grid).x0 if separates else None,
-        )
+        S = assert_nonseparable(B, C)
+        _sweep(checks, "no grid semispace separates", None if S is None else S.x0)
     else:
         raise ParseError(f"unknown certificate outcome {outcome!r}")
 
@@ -298,11 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--point", required=True, help='coordinates like "0.6,0.3"')
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("check-cond", help="check the box-side separability condition")
+    p = sub.add_parser("check-cond", help="decide exactly whether a semispace separates the box and the set")
     p.add_argument("-i", "--instance", required=True)
     p.set_defaults(handler=_cmd_check_cond)
 
-    p = sub.add_parser("verify", help="re-check a certificate with the grid referee")
+    p = sub.add_parser(
+        "verify", help="re-check a certificate: grid sweeps, and an exact check of a not-separable claim"
+    )
     p.add_argument("-i", "--certificate", required=True)
     p.add_argument("--grid", type=int, default=0, help="grid denominator (default: instance option)")
     p.set_defaults(handler=_cmd_verify)

@@ -1,9 +1,9 @@
-"""Brute-force referees on finite grids.
+"""Referees: brute-force sweeps on finite grids, and an exact separability decision.
 
 The grid {0, 1/d, ..., 1}^n is the referee's universe: `verify` checks a
-certificate by sweeping the grid points where a counterexample could sit,
-and first_grid_separator looks for a separating semispace at every grid
-point in turn.
+certificate by sweeping the grid points where a counterexample could sit.
+Whether any semispace separates a box from a generated set needs no grid:
+exact_separator decides it from n+1 extreme candidates.
 
 Sweeps run on ranks, not on scalars.  RankGrid is the library's Scale
 (see core) of the instance's and the certificate's scalars with the grid
@@ -223,61 +223,36 @@ def _semispace_member(x0: Ranks, o: int | None) -> Callable[[Ranks], bool]:
     return lambda y: y[o] < tau or any(y[m] > x0[m] for m in watched)
 
 
-def _misses_box(x0: Ranks, o: int | None, lower: Ranks, upper: Ranks) -> bool:
-    """Whether the semispace (x0, o) misses the box [lower, upper].  The
-    semispace is a union of the open half-spaces its predicate names, and a
-    box misses a union iff it misses each part."""
-    if o is None:
-        return all(u <= a for u, a in zip(upper, x0))
-    tau = x0[o]
-    return lower[o] >= tau and all(u <= a for u, a in zip(upper, x0) if a < tau)
+def exact_separator(
+    lower: Ranks, upper: Ranks, gens: tuple[Ranks, ...], top: int
+) -> tuple[Ranks, int | None] | None:
+    """A semispace (x0, coordinate) that contains every generator and misses
+    the box [lower, upper], on the ranks of one Scale whose 1 is `top`;
+    None when no semispace at all does.  Exact: no grid is involved.
 
-
-def brute_separation_search(
-    B: Box, C: GeneratedConvexSet, grid: Grid
-) -> SemispaceDescriptor | None:
-    """First semispace at a grid point that contains C and misses B.
-
-    Box corners and generators must lie on the grid (ValueError
-    otherwise).  Enumerates grid points lexicographically and each point's
-    family in order; completely independent of the constructive pipeline.
-    Returns None when no grid candidate separates (in particular whenever
-    box and hull intersect).
+    Each type of semispace has one extreme member that misses the box and
+    holds every generator any other member of that type holds:
+    - upper type, a family member only when no upper bound is 1: it misses
+      the box iff upper <= x0, and lowering x0 to upper only grows it;
+    - coordinate i, non-empty only when x0_i > 0: it misses the box iff
+      x0_i <= lower_i and upper_m <= x0_m on its clause set
+      {m : x0_m < x0_i}, which therefore lies in {m : upper_m < lower_i}.
+      Raising x0_i to tau = lower_i > 0 and taking x0 = min(upper, tau)
+      widens the first clause to its limit, the clause set to that whole
+      set and each clause to y_m > upper_m, so this x0 is the extreme one.
+    The n+1 candidates are tried upper type first, then coordinates in
+    index order, each with the predicate of _semispace_member.
     """
-    check_same_dim(B.lower, C.generators[0])
-    for corner in (B.lower, B.upper):
-        if not grid.contains(corner):
-            raise ValueError(f"box corner {corner} is not on the 1/{grid.denominator} grid")
-    for v in C.generators:
-        if not grid.contains(v):
-            raise ValueError(f"generator {v} is not on the 1/{grid.denominator} grid")
-    return first_grid_separator(B, C, grid)
 
+    def separates(x0: Ranks, o: int | None) -> bool:
+        member = _semispace_member(x0, o)
+        return all(member(v) for v in gens)
 
-def first_grid_separator(
-    B: Box, C: GeneratedConvexSet, grid: Grid
-) -> SemispaceDescriptor | None:
-    """First semispace at a grid point, in grid order and family order, that
-    contains C and misses B; None when there is none.  B and C may lie off
-    the grid.
-
-    The family at x0 is the upper type (absent when some coordinate is 1)
-    followed by the coordinates sorted descending, ties by index, up to the
-    first zero coordinate.
-    """
-    rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
-    lower, upper = rg.box(B)
-    gens = [rg.encode(v) for v in C.generators]
-    zero, one = rg.axis[0], rg.axis[-1]
-    n = grid.dimension
-    grid.guard()
-    for x0 in itertools.product(rg.axis, repeat=n):
-        family = [o for o in sorted(range(n), key=lambda i: (-x0[i], i)) if x0[o] != zero]
-        if one not in x0:
-            family.insert(0, None)
-        for o in family:
-            if _misses_box(x0, o, lower, upper):
-                member = _semispace_member(x0, o)
-                if all(member(v) for v in gens):
-                    return SemispaceDescriptor(rg.decode(x0), o)
+    if top not in upper and separates(upper, None):
+        return upper, None
+    for i, tau in enumerate(lower):
+        if tau > 0:
+            x0 = tuple(min(u, tau) for u in upper)
+            if separates(x0, i):
+                return x0, i
     return None

@@ -10,7 +10,8 @@ The witness alone does not rule out every semispace.  For the box
 [0.2,0.8]×[0.2,0.5] and C = {(0.9,0.9)} the generator is such a point, yet
 the upper-type semispace at (0.8,0.5) separates.  The not-separable
 outcome means that every candidate of the pipeline failed;
-assert_nonseparable confirms it by exhaustive grid search.
+assert_nonseparable confirms it exactly with the referee's own decision
+(oracle.exact_separator), which shares no code with the pipeline.
 
 The pipeline spends at most n+1 containment sweeps over the generators
 (oracle_calls in the certificate).  Every returned separator is re-checked
@@ -40,7 +41,7 @@ from .core import (
 )
 from .convex import Box, GeneratedConvexSet, box_hull_point, box_hull_witness, encode_box
 from .errors import InternalError, IntersectionError
-from .oracle import Grid, first_grid_separator
+from .oracle import exact_separator
 from .semispaces import (
     Descriptor,
     HemispaceDescriptor,
@@ -156,6 +157,10 @@ def lower_stages(box: RankBox) -> PartitionProfile:
     ups = [box.upper[o] for o in perm]
     remaining = set(range(1, n + 1))
     stages: list[PartitionStage] = []
+
+    def fault(message):
+        return InternalError(f"lower partition {message} (partition stage {len(stages) + 1})")
+
     for _ in range(n):
         s = 1
         min_up = None
@@ -166,21 +171,21 @@ def lower_stages(box: RankBox) -> PartitionProfile:
                 s = p + 1
                 break
         if s > n:
-            raise InternalError("lower partition found no feasible threshold")
+            raise fault("found no feasible threshold")
         if s == 1:
             members = frozenset(remaining)
         else:
             bound = lows[s - 2]
             members = frozenset(p for p in remaining if p >= s and ups[p - 1] < bound)
         if not members:
-            raise InternalError("lower partition produced an empty stage")
+            raise fault("produced an empty stage")
         level = min(ups[p - 1] for p in members)
         stages.append(PartitionStage(s=s, members=members, level=level))
         remaining -= members
         if s == 1:
             break
     else:
-        raise InternalError("lower partition exceeded the dimension bound")
+        raise fault("exceeded the dimension bound")
     return PartitionProfile(lower_perm=perm, stages=tuple(stages))
 
 
@@ -336,10 +341,13 @@ def separate_box(
 
 
 def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:
-    """Decide whether the pipeline separates B from C by a semispace.
+    """Decide whether a semispace separates B from C.
 
-    Returns None when it does, else the witness of its not-separable
-    outcome (see the module docstring for what that witness shows).
+    Returns None when one does, else the witness of the pipeline's
+    not-separable outcome (see the module docstring for what that witness
+    shows).  The answer is exact: the pipeline's semispace stages find a
+    separator whenever one exists, which tests/test_oracle.py checks
+    against the referee's exact decision, oracle.exact_separator.
     """
     cert = separate_box(B, C, with_fallback=False)
     if cert.outcome == NOT_SEPARABLE:
@@ -347,17 +355,16 @@ def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:
     return None
 
 
-def assert_nonseparable(B: Box, C: GeneratedConvexSet, grid_step: Fraction) -> bool:
-    """Exhaustively confirm that no semispace at a grid point separates.
+def assert_nonseparable(B: Box, C: GeneratedConvexSet) -> SemispaceDescriptor | None:
+    """Referee of the NOT_SEPARABLE outcome: None when no semispace
+    separates B from C, else the first separator of oracle.exact_separator.
 
-    Box and set need not lie on the grid.  Desk-scale referee for the
-    NOT_SEPARABLE outcome; True means no grid candidate separates.
+    Exact whatever grid the instance lies on.  Raises IntersectionError
+    when box and hull share a point.
     """
-    check_same_dim(B.lower, C.generators[0])
     shared = box_hull_witness(B, C)
     if shared is not None:
         raise IntersectionError(f"box and hull share the point {shared}", witness=shared)
-    step = Fraction(grid_step)
-    if step <= 0 or step > 1 or step.numerator != 1:
-        raise ValueError(f"grid step must be 1/d for an integer d, got {step}")
-    return first_grid_separator(B, C, Grid(step.denominator, B.dim)) is None
+    s = Scale.of(B.lower, B.upper, *C.generators)
+    found = exact_separator(s.encode(B.lower), s.encode(B.upper), s.encode_all(C.generators), s.top)
+    return None if found is None else SemispaceDescriptor(s.decode(found[0]), found[1])

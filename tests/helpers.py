@@ -2,6 +2,7 @@
 and brute-force references that bypass the library code paths."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,17 @@ from maxminsep import (
     Box,
     GeneratedConvexSet,
     Grid,
+    IntersectionError,
     Point,
+    SemispaceDescriptor,
     as_scalar,
+    box_hull_witness,
     hull_contains,
     segment_contains,
     semispace_contains,
 )
+from maxminsep.core import Ranks, check_same_dim
+from maxminsep.oracle import RankGrid, _semispace_member
 
 
 def pt(spec: str) -> Point:
@@ -120,3 +126,68 @@ def disjoint_pair(r: random.Random, n: int, d: int, max_gens: int = 4):
 
 def scalar(text: str) -> Fraction:
     return as_scalar(text)
+
+
+def _misses_box(x0: Ranks, o: int | None, lower: Ranks, upper: Ranks) -> bool:
+    """Whether the semispace (x0, o) misses the box [lower, upper].  The
+    semispace is a union of the open half-spaces its predicate names, and a
+    box misses a union iff it misses each part."""
+    if o is None:
+        return all(u <= a for u, a in zip(upper, x0))
+    tau = x0[o]
+    return lower[o] >= tau and all(u <= a for u, a in zip(upper, x0) if a < tau)
+
+
+def first_grid_separator(B: Box, C: GeneratedConvexSet, grid: Grid) -> SemispaceDescriptor | None:
+    """First semispace at a grid point, in grid order and family order, that
+    contains C and misses B; None when there is none.  B and C may lie off
+    the grid, and then an off-grid separator goes unseen.
+
+    The family at x0 is the upper type (absent when some coordinate is 1)
+    followed by the coordinates sorted descending, ties by index, up to the
+    first zero coordinate.
+    """
+    rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
+    lower, upper = rg.box(B)
+    gens = [rg.encode(v) for v in C.generators]
+    zero, one = rg.axis[0], rg.axis[-1]
+    n = grid.dimension
+    grid.guard()
+    for x0 in itertools.product(rg.axis, repeat=n):
+        family = [o for o in sorted(range(n), key=lambda i: (-x0[i], i)) if x0[o] != zero]
+        if one not in x0:
+            family.insert(0, None)
+        for o in family:
+            if _misses_box(x0, o, lower, upper):
+                member = _semispace_member(x0, o)
+                if all(member(v) for v in gens):
+                    return SemispaceDescriptor(rg.decode(x0), o)
+    return None
+
+
+def brute_separation_search(B: Box, C: GeneratedConvexSet, grid: Grid) -> SemispaceDescriptor | None:
+    """first_grid_separator on an instance that lies on the grid, where it
+    is exhaustive; ValueError for a box corner or generator off the grid."""
+    check_same_dim(B.lower, C.generators[0])
+    for corner in (B.lower, B.upper):
+        if not grid.contains(corner):
+            raise ValueError(f"box corner {corner} is not on the 1/{grid.denominator} grid")
+    for v in C.generators:
+        if not grid.contains(v):
+            raise ValueError(f"generator {v} is not on the 1/{grid.denominator} grid")
+    return first_grid_separator(B, C, grid)
+
+
+def assert_nonseparable(B: Box, C: GeneratedConvexSet, grid_step: Fraction) -> bool:
+    """Grid form of the not-separable referee: True when no semispace at a
+    point of the 1/d grid separates.  Box and set need not lie on the grid.
+    IntersectionError when box and hull meet, ValueError unless the step is
+    1/d."""
+    check_same_dim(B.lower, C.generators[0])
+    shared = box_hull_witness(B, C)
+    if shared is not None:
+        raise IntersectionError(f"box and hull share the point {shared}", witness=shared)
+    step = Fraction(grid_step)
+    if step <= 0 or step > 1 or step.numerator != 1:
+        raise ValueError(f"grid step must be 1/d for an integer d, got {step}")
+    return first_grid_separator(B, C, Grid(step.denominator, B.dim)) is None

@@ -18,7 +18,6 @@ from maxminsep import (
     SEMISPACE,
     NOT_SEPARABLE,
     HEMISPACE,
-    assert_nonseparable,
     bounding_box,
     box_intersects_hull,
     brute_is_convex,
@@ -37,6 +36,7 @@ from maxminsep import (
     set_in_semispace,
 )
 from helpers import (
+    assert_nonseparable,
     box,
     brute_segment,
     expected_family_size,

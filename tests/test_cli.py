@@ -34,6 +34,15 @@ BLOCKED = {
 # upper corner of the box separates
 ESCAPING = dict(SEPARABLE, sets={"C": [["0.9", "0.9"]]}, options={"grid": 10})
 
+# off the 1/10 grid: the only separators sit at points off it, such as the
+# box's upper corner (0.95, 0.5, 0.5)
+OFF_GRID = {
+    "dimension": 3,
+    "box": {"lower": ["0.05", "0.4", "0.2"], "upper": ["0.95", "0.5", "0.5"]},
+    "sets": {"C": [["0.2", "0.6", "0.6"], ["0.7", "0.8", "0.6"]]},
+    "options": {"grid": 10},
+}
+
 TWO_SETS = {
     "dimension": 2,
     "box": None,
@@ -303,6 +312,22 @@ class TestVerify:
         failed = [c["check"] for c in report["checks"] if not c["ok"]]
         assert failed == ["no grid semispace separates"]
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "20"]])
+    def test_false_negative_off_the_grid_is_invalid(self, tmp_path, capsys, grid):
+        code, cert_path = self.emit_certificate(tmp_path, capsys, OFF_GRID, extra=["--no-fallback"])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        assert code == 0
+        assert data["outcome"] == "semispace"
+        assert data["separator"] == {"type": "S0", "x0": ["0.95", "0.5", "0.5"]}
+        data.update(outcome="not-separable", separator=None, witness=["0.2", "0.6", "0.6"])
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path), *grid])
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [
+            {"check": "no grid semispace separates", "ok": False, "point": ["0.95", "0.5", "0.5"]}
+        ]
+
     def test_boxed_set_must_be_an_integer(self, tmp_path, capsys):
         inst = write_instance(tmp_path, TWO_SETS)
         cert_path = tmp_path / "cert.json"
@@ -422,6 +447,36 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "error: grid holds 19487171 points, above the 2000000 bound\n"
+
+
+    def test_seven_dimensions_not_separable_verifies_without_the_grid(self, tmp_path, capsys, monkeypatch):
+        from types import SimpleNamespace
+        from maxminsep import oracle
+
+        instance = {
+            "dimension": 7,
+            "box": {"lower": ["0"] + ["0.3"] * 6, "upper": ["1"] + ["0.5"] * 6},
+            "sets": {"C": [["0.4"] + ["0.8"] * 6]},
+            "options": {"grid": 10},
+        }
+        inst = write_instance(tmp_path, instance)
+        cert_path = tmp_path / "cert.json"
+        assert run(capsys, ["separate-box", "-i", inst, "-o", str(cert_path), "--no-fallback"])[0] == 2
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the grid was enumerated")
+
+        monkeypatch.setattr(oracle, "itertools", SimpleNamespace(product=enumerate_nothing))
+        code, out, err = run(capsys, ["verify", "-i", str(cert_path), "--grid", "10"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["valid"] is True
+        assert [c["check"] for c in report["checks"]] == [
+            "witness in hull",
+            "witness dominates box lower bounds",
+            "witness escapes inside the profile threshold",
+            "no grid semispace separates",
+        ]
 
 
 class TestPlot:

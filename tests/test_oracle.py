@@ -4,27 +4,42 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxminsep import (
     Box,
     GeneratedConvexSet,
     Grid,
     HemispaceDescriptor,
+    NOT_SEPARABLE,
     Point,
     ResourceLimitError,
+    SEMISPACE,
     SemispaceDescriptor,
+    box_intersects_hull,
     brute_is_convex,
-    brute_separation_search,
     grid_hull,
     hemispace_contains,
     hull_contains,
     semispace_avoids_box,
     semispace_contains,
     semispace_family,
+    separate_box,
     set_in_semispace,
 )
-from maxminsep.oracle import RankGrid, first_grid_separator
-from helpers import box, brute_segment, combo, gset, pt
+from maxminsep.core import Scale
+from maxminsep.oracle import RankGrid, _semispace_member, exact_separator
+from helpers import (
+    _misses_box,
+    box,
+    brute_segment,
+    brute_separation_search,
+    combo,
+    first_grid_separator,
+    gset,
+    pt,
+)
 
 
 class TestGrid:
@@ -219,3 +234,73 @@ class TestRankGridDifferential:
             rg.first(lambda y: pytest.fail("a point was enumerated"), rg.box(Box(corner, corner)))
         with pytest.raises(ResourceLimitError):
             first_grid_separator(Box(corner, corner), GeneratedConvexSet((corner,)), grid)
+
+
+@st.composite
+def instances(draw, dims=(1, 2, 3, 4), dens=(4, 5, 6, 10)):
+    """(box, set, denominator) with every scalar on the 1/den grid."""
+    n = draw(st.sampled_from(dims))
+    den = draw(st.sampled_from(dens))
+    coord = st.integers(0, den).map(lambda k: Fraction(k, den))
+    point = st.tuples(*[coord] * n).map(Point)
+    p, q = draw(point), draw(point)
+    B = Box(Point(tuple(map(min, p, q))), Point(tuple(map(max, p, q))))
+    C = GeneratedConvexSet(tuple(draw(st.lists(point, min_size=1, max_size=4))))
+    return B, C, den
+
+
+def _decide(B, C):
+    s = Scale.of(B.lower, B.upper, *C.generators)
+    lower, upper = s.encode(B.lower), s.encode(B.upper)
+    gens = s.encode_all(C.generators)
+    return exact_separator(lower, upper, gens, s.top), lower, upper, gens, s
+
+
+class TestExactSeparator:
+    """The exact decision against the pipeline, the grid search and the
+    semispace definitions."""
+
+    @given(instances())
+    @settings(max_examples=200, deadline=None)
+    def test_separable_iff_the_pipeline_finds_a_semispace(self, inst):
+        B, C, _ = inst
+        assume(not box_intersects_hull(B, C))
+        found = _decide(B, C)[0]
+        outcome = separate_box(B, C, with_fallback=False).outcome
+        assert outcome == (SEMISPACE if found is not None else NOT_SEPARABLE)
+
+    @given(instances(dims=(1, 2, 3), dens=(4, 5, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_grid_search_on_the_grid(self, inst):
+        B, C, den = inst
+        found = _decide(B, C)[0]
+        assert (found is None) == (brute_separation_search(B, C, Grid(den, B.dim)) is None)
+
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_separator_holds_the_set_and_misses_the_box(self, inst):
+        B, C, _ = inst
+        found, lower, upper, gens, s = _decide(B, C)
+        assume(found is not None)
+        x0, o = found
+        member = _semispace_member(x0, o)
+        assert all(member(v) for v in gens)
+        assert _misses_box(x0, o, lower, upper)
+        S = SemispaceDescriptor(s.decode(x0), o)
+        assert S in semispace_family(S.x0)
+        assert set_in_semispace(C, S) is None and semispace_avoids_box(S, B)
+
+    def test_coordinates_are_tried_in_index_order(self):
+        # an upper bound at 1 rules the upper type out; both coordinate
+        # candidates separate, at different points, and the first one wins
+        B, C = box("0.5,0.3", "1,1"), gset("0.2,0.2")
+        found, _, _, _, s = _decide(B, C)
+        assert (s.decode(found[0]), found[1]) == (pt("0.5,0.5"), 0)
+
+    def test_off_grid_separator_is_found(self):
+        # no semispace at a point of the 1/10 grid separates, the upper-type
+        # one at the box's upper corner (0.95, 0.5, 0.5) does
+        B, C = box("0.05,0.4,0.2", "0.95,0.5,0.5"), gset("0.2,0.6,0.6", "0.7,0.8,0.6")
+        found, _, _, _, s = _decide(B, C)
+        assert found is not None and (s.decode(found[0]), found[1]) == (pt("0.95,0.5,0.5"), None)
+        assert first_grid_separator(B, C, Grid(10, 3)) is None

@@ -18,10 +18,9 @@ from maxminsep import (
     InternalError,
     IntersectionError,
     Point,
-    assert_nonseparable,
+    SemispaceDescriptor,
     box_intersects_hull,
     box_profile,
-    brute_separation_search,
     check_sep_cond,
     hull_contains,
     lower_partition,
@@ -30,8 +29,9 @@ from maxminsep import (
     set_in_semispace,
 )
 from maxminsep import separation
+from maxminsep.core import RankBox
 from maxminsep.cli import main
-from helpers import box, gset, pt
+from helpers import assert_nonseparable, box, brute_separation_search, gset, pt
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
 coord4 = st.integers(min_value=0, max_value=4).map(lambda k: Fraction(k, 4))
@@ -192,6 +192,20 @@ class TestSeparateBoxExamples:
         assert main(["separate-box", "-i", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize(
+        "lower, upper, expected",
+        [
+            ((1,), (0,), "lower partition found no feasible threshold (partition stage 1)"),
+            ((0, 1, 2), (0, 1, 0), "lower partition produced an empty stage (partition stage 3)"),
+        ],
+    )
+    def test_partition_fault_names_its_stage(self, lower, upper, expected):
+        # a rank box with a lower bound above its upper bound breaks the
+        # invariant the partition relies on
+        with pytest.raises(InternalError) as err:
+            separation.lower_stages(RankBox(lower, upper))
+        assert str(err.value) == expected
+
 
 class TestSeparateBoxProperties:
     @given(boxes(3), gsets(3))
@@ -291,6 +305,21 @@ class TestCheckSepCond:
         w = check_sep_cond(B, C)
         cert = separate_box(B, C, with_fallback=False)
         assert (w is None) == (cert.outcome == SEMISPACE)
+
+
+class TestExactReferee:
+    """separation.assert_nonseparable: the exact referee verify runs."""
+
+    def test_names_the_separator_the_witness_misses(self):
+        S = separation.assert_nonseparable(box("0.2,0.2", "0.8,0.5"), gset("0.9,0.9"))
+        assert S == SemispaceDescriptor(pt("0.8,0.5"), None)
+
+    def test_blocked_instance_has_no_separator(self):
+        assert separation.assert_nonseparable(box("0,0.3", "1,0.5"), gset("0.4,0.8")) is None
+
+    def test_rejects_intersecting_inputs(self):
+        with pytest.raises(IntersectionError, match=r"^box and hull share the point \(1/2, 1/2\)$"):
+            separation.assert_nonseparable(box("0,0", "0.5,0.5"), gset("0.5,0.5"))
 
 
 class TestAssertNonseparable:
