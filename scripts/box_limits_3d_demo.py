@@ -72,7 +72,10 @@ def main() -> int:
           f"nested={bb1.lower <= bb2.lower and bb2.upper <= bb1.upper}")
 
     report = {
-        "levels": {"a": serialize.format_scalar(a), "b": serialize.format_scalar(b)},
+        "levels": {
+            "a": serialize.format_scalar(a.numerator, a.denominator),
+            "b": serialize.format_scalar(b.numerator, b.denominator),
+        },
         "diagonal": serialize.set_to_list(diagonal),
         "bent": serialize.set_to_list(bent),
         "disjoint": witness is None,

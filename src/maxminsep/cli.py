@@ -8,7 +8,6 @@ byte-deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -43,6 +42,13 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str) -> serialize.RankInstance:
     return serialize.read_rank_instance(_read(path))
+
+
+def _load_certificate(path: str) -> dict:
+    data = serialize.loads(_read(path))
+    if not isinstance(data, dict):
+        raise ParseError("a certificate must be a JSON object")
+    return data
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -89,7 +95,7 @@ def _cmd_separate_2d(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    x0 = Point(tuple(serialize.parse_scalar(part) for part in args.point.split(",")))
+    x0 = serialize.point_from_list(args.point.split(","))
     family = semispace_family(x0)
     document = {
         "x0": serialize.point_to_list(x0),
@@ -105,9 +111,10 @@ def _cmd_check_cond(args) -> int:
         raise ParseError("check-cond needs a box in the instance")
     cert = separate(inst.scale, inst.box, _single_set(inst), with_fallback=False)
     witness = cert.witness if cert.outcome == NOT_SEPARABLE else None
+    pairs = inst.scale.pairs
     document = {
         "holds": witness is None,
-        "witness": serialize.point_to_list(inst.scale.decode(witness)) if witness is not None else None,
+        "witness": [serialize.format_scalar(*pairs[r]) for r in witness] if witness is not None else None,
     }
     _emit(document, None)
     return 0 if witness is None else 2
@@ -209,12 +216,8 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "instance" not in data:
+    data = _load_certificate(args.certificate)
+    if "instance" not in data:
         raise ParseError("certificate files carry their instance")
     inst = serialize.instance_from_dict(data["instance"])
     d = args.grid if args.grid else inst.options.grid
@@ -239,11 +242,7 @@ def _cmd_plot(args) -> int:
     separator = None
     cert_box = None
     if args.certificate:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}") from None
+        data = _load_certificate(args.certificate)
         if data.get("separator") is not None:
             separator = serialize.descriptor_from_dict(data["separator"])
         if data.get("semispace") is not None:

@@ -10,12 +10,13 @@ one instance, plus 0 and 1, as 0..K in increasing order; a point becomes a
 tuple of ints, 0 becomes rank 0 and 1 becomes rank K (`top`).  Relabelling
 by the Scale is such an order-preserving map, so answers computed on ranks
 decode to the exact answers on the scalars.  Fraction lives at the
-boundary: the JSON reader parses each distinct scalar string once into a
-Fraction, and the public functions below take and return Fraction points,
-encoding their arguments through one Scale at entry and decoding the result
-through the same Scale at exit.  The rank kernels (residual, join_ranks,
-meet_ranks, leq, on_segment here, and their counterparts in the other
-modules) are the only implementation of each algorithm.
+boundary, and only where something decodes: the JSON reader reads each
+distinct scalar string into an int pair, and the public functions below
+take and return Fraction points, encoding their arguments through one
+Scale at entry and decoding the result through the same Scale at exit.
+The rank kernels (residual, join_ranks, meet_ranks, leq, on_segment here,
+and their counterparts in the other modules) are the only implementation
+of each algorithm.
 """
 from __future__ import annotations
 
@@ -107,27 +108,38 @@ class RankBox(NamedTuple):
 class Scale:
     """Order-preserving numbering of finitely many scalars, 0 and 1 included.
 
-    values[r] is the scalar of rank r, rank_of(v) the rank of scalar v, and
-    top the rank of 1.  One Scale belongs to one instance: it is built from
-    that instance's scalars and travels with it.
+    pairs[r] is the normalised (numerator, denominator) of the scalar of
+    rank r, values[r] that scalar, rank the rank of a pair and top the rank
+    of 1.  One Scale belongs to one instance: it is built from that
+    instance's scalars (Fractions, or pairs, whose Fractions are built on
+    first use) and travels with it.
 
     Fraction hashing and comparison run in Python and cost far more than
-    int ones, so values are told apart by their normalised (numerator,
-    denominator) pair, which is also the key of `rank`, and sorted by float
+    int ones, so values are told apart by their pairs and sorted by float
     with the order then confirmed exactly on ints (an exact sort runs only
     if floats tied or misordered two values).
     """
 
-    __slots__ = ("values", "rank", "top")
+    __slots__ = ("pairs", "rank", "top", "_values")
 
-    def __init__(self, values: Iterable[Fraction]) -> None:
-        unique = {(v.numerator, v.denominator): v for v in (ZERO, ONE, *values)}
-        order = sorted(unique, key=lambda nd: nd[0] / nd[1])
+    def __init__(self, values: Iterable[Fraction] = (), *, pairs: Iterable[tuple[int, int]] = ()) -> None:
+        given = {(v.numerator, v.denominator): v for v in (ZERO, ONE, *values)}
+        order = sorted({*given, *pairs}, key=lambda nd: nd[0] / nd[1])
         if any(p * s >= r * q for (p, q), (r, s) in zip(order, order[1:])):
-            order = sorted(unique, key=unique.__getitem__)
-        self.values = tuple(unique[nd] for nd in order)
+            order = sorted(order, key=lambda nd: Fraction(*nd))
+        self.pairs = tuple(order)
         self.rank = {nd: r for r, nd in enumerate(order)}
         self.top = len(order) - 1
+        # from a list, not an iterator: tuple() of an iterator resizes a
+        # 10-slot tuple, and over a long run the resized tuples fill the
+        # interpreter's per-size tuple free lists, which raises peak memory
+        self._values = tuple([given[nd] for nd in order]) if len(order) == len(given) else None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            self._values = tuple([Fraction(p, q) for p, q in self.pairs])
+        return self._values
 
     @classmethod
     def of(cls, *points: Point) -> "Scale":

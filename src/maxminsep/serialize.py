@@ -7,12 +7,12 @@ otherwise), so identical inputs always serialize to identical bytes.
 Coordinate indices are 1-based on the wire.
 
 Reading a document goes through a ScalarTable: every point is validated
-as a list of strings, and each distinct string is parsed once, with every
+as a list of strings, and each distinct string is read once into its
+normalised (numerator, denominator) int pair by scalar_pair, with every
 check of parse_scalar.  The table then either decodes the points to
-Fraction (instance_from_dict and the other *_from_* functions) or binds
-the values to a Scale and encodes the points to ranks (read_rank_instance,
-which the CLI uses).  Emitting a certificate of a RankInstance formats each
-rank of its Scale once and looks the strings up.
+Fraction (instance_from_dict and the other *_from_* functions) or numbers
+the pairs on a Scale and encodes the points to ranks (read_rank_instance,
+which the CLI uses).  Emitting a certificate formats each rank once.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .core import Point, RankBox, Ranks, Scale, as_scalar
@@ -63,13 +64,32 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def format_scalar(v: Fraction) -> str:
-    """Canonical exact string: decimal when the denominator allows it."""
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    rest = v.denominator
+def scalar_pair(text: str) -> tuple[int, int]:
+    """Normalised (numerator, denominator) of a scalar string.  Plain ASCII
+    digits, digits/digits and digits.digits in range are read straight into
+    ints; any other string goes through parse_scalar and its errors."""
+    if isinstance(text, str) and text.isascii() and len(text) <= MAX_SCALAR_DIGITS:
+        num, slash, den = text.partition("/")
+        if slash:
+            plain = num.isdigit() and den.isdigit()
+        else:
+            whole, dot, decimals = text.partition(".")
+            plain = whole.isdigit() and (decimals.isdigit() or not dot)
+            num, den = whole + decimals, "1" + "0" * len(decimals)
+        p, q = (int(num), int(den)) if plain else (1, 0)
+        if 0 < q and p <= q:
+            g = gcd(p, q)
+            return p // g, q // g
+    v = parse_scalar(text)
+    return v.numerator, v.denominator
+
+
+def format_scalar(p: int, q: int) -> str:
+    """Canonical exact string of the normalised fraction p/q: decimal when
+    the denominator divides a power of ten."""
+    if q == 1:
+        return str(p)
+    rest = q
     twos = fives = 0
     while rest % 2 == 0:
         rest //= 2
@@ -78,23 +98,23 @@ def format_scalar(v: Fraction) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{v.numerator}/{v.denominator}"
+        return f"{p}/{q}"
     k = max(twos, fives)
-    scaled = v.numerator * 10**k // v.denominator
+    scaled = p * 10**k // q
     return f"{scaled // 10**k}.{scaled % 10**k:0{k}d}"
 
 
 class ScalarTable:
-    """The scalar strings of one document, each distinct string parsed once.
+    """The scalar strings of one document, each distinct string read once.
 
     Only JSON strings are looked up, so a number or a list in place of a
-    scalar reaches parse_scalar and is refused there.  bind numbers the
-    parsed values on a Scale of their own; encode then maps a point's
-    strings to ranks.
+    scalar reaches scalar_pair and is refused there.  bind numbers the
+    (numerator, denominator) pairs on a Scale of their own; encode then
+    maps a point's strings to ranks.
     """
 
     def __init__(self) -> None:
-        self.parsed: dict[str, Fraction] = {}
+        self.parsed: dict[str, tuple[int, int]] = {}
         self.code: dict[str, int] = {}
 
     def point(self, data) -> tuple[str, ...]:
@@ -104,26 +124,25 @@ class ScalarTable:
         parsed = self.parsed
         for text in data:
             if not (isinstance(text, str) and text in parsed):
-                parsed[text] = parse_scalar(text)
+                parsed[text] = scalar_pair(text)
         return tuple(data)
 
     def bind(self) -> Scale:
-        scale = Scale(self.parsed.values())
-        rank_of = scale.rank_of
-        self.code = {text: rank_of(v) for text, v in self.parsed.items()}
+        scale = Scale(pairs=self.parsed.values())
+        rank = scale.rank
+        self.code = {text: rank[nd] for text, nd in self.parsed.items()}
         return scale
 
     def encode(self, strings: tuple[str, ...]) -> Ranks:
-        code = self.code
-        return tuple(code[text] for text in strings)
+        return tuple(map(self.code.__getitem__, strings))
 
     def decode(self, strings: tuple[str, ...]) -> Point:
         parsed = self.parsed
-        return Point(tuple(parsed[text] for text in strings))
+        return Point(tuple(Fraction(*parsed[text]) for text in strings))
 
 
 def point_to_list(p: Point) -> list[str]:
-    return [format_scalar(c) for c in p]
+    return [format_scalar(c.numerator, c.denominator) for c in p]
 
 
 def point_from_list(data) -> Point:
@@ -138,7 +157,7 @@ def _read_box(data, table: ScalarTable) -> tuple[tuple[str, ...], tuple[str, ...
     if len(lower) != len(upper):
         raise DimensionError(f"mixed dimensions: {sorted({len(lower), len(upper)})}")
     parsed = table.parsed
-    if any(parsed[a] > parsed[b] for a, b in zip(lower, upper)):
+    if any(p * s > r * q for (p, q), (r, s) in ((parsed[a], parsed[b]) for a, b in zip(lower, upper))):
         raise ParseError(f"box lower bound {table.decode(lower)} exceeds upper bound {table.decode(upper)}")
     return lower, upper
 
@@ -303,7 +322,7 @@ def read_rank_instance(text: str) -> RankInstance:
     """Parse an instance document straight to ranks, on a Scale of its own
     scalars."""
     table = ScalarTable()
-    raw = _read_instance(_loads(text), table)
+    raw = _read_instance(loads(text), table)
     scale = table.bind()
     code = table.encode
     return RankInstance(
@@ -319,8 +338,8 @@ def _formatter(inst: Instance | RankInstance) -> Callable:
     """Point formatting for an instance: through a table of the canonical
     strings of its ranks, or coordinate by coordinate for Fraction points."""
     if isinstance(inst, RankInstance):
-        names = [format_scalar(v) for v in inst.scale.values]
-        return lambda p: [names[r] for r in p]
+        name = [format_scalar(p, q) for p, q in inst.scale.pairs].__getitem__
+        return lambda p: list(map(name, p))
     return point_to_list
 
 
@@ -335,7 +354,7 @@ def instance_to_dict(inst: Instance | RankInstance, fmt: Callable | None = None)
     }
 
 
-def _loads(text: str):
+def loads(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -343,7 +362,7 @@ def _loads(text: str):
 
 
 def parse_instance(text: str) -> Instance:
-    return instance_from_dict(_loads(text))
+    return instance_from_dict(loads(text))
 
 
 def _trace_entry_to_dict(entry: TraceEntry, fmt: Callable) -> dict:
@@ -389,5 +408,30 @@ def planar_certificate_to_dict(
 
 
 def dumps(document: dict) -> str:
-    """Byte-deterministic JSON: sorted keys, two-space indent, newline end."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Byte-deterministic JSON: json.dumps(document, indent=2, sort_keys=True)
+    and a newline, without the standard library's pure-Python encoder."""
+    return _json(document, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii  # C code
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, newline: str) -> str:
+    """The JSON of a dict with string keys, a list, a string, an int, a
+    boolean or None; nested lines start with `newline`."""
+    if isinstance(value, str):
+        return _escape(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_escape(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        try:  # most lists are points: strings only
+            items = list(map(_escape, value))
+        except TypeError:
+            items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    return int.__repr__(value)  # any other type is a TypeError here

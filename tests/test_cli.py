@@ -10,7 +10,7 @@ import pytest
 
 import maxminsep
 from maxminsep import ParseError
-from maxminsep.cli import main
+from maxminsep.cli import build_parser, main
 from maxminsep.serialize import read_rank_instance
 
 SEPARABLE = {
@@ -195,6 +195,16 @@ class TestSeparateTwoSets:
         data = json.loads(out)
         assert data["semispace"] is not None
 
+    def test_set_names_are_escaped(self, tmp_path, capsys):
+        # set names are the user's and come back in the certificate's keys
+        sets = dict(zip(['C"1', "Ω"], TWO_SETS["sets"].values()))
+        code, out, _ = run(capsys, ["separate-2d", "-i", write_instance(tmp_path, dict(TWO_SETS, sets=sets))])
+        assert code == 0
+        data = json.loads(out)
+        assert list(data["instance"]["sets"]) == ['C"1', "Ω"]
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert '"C\\"1": [' in out and '"\\u03a9": [' in out
+
     def test_boundary_generators_fail_with_semispace(self, tmp_path, capsys):
         bad = dict(TWO_SETS, sets={"C1": [["0", "0.5"]], "C2": [["0.8", "0.2"]]})
         inst = write_instance(tmp_path, bad)
@@ -355,6 +365,17 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"cert"', "null", "{"])
+    def test_certificate_that_is_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["verify", "-i", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        args = build_parser().parse_args(["verify", "-i", str(path)])
+        with pytest.raises(ParseError):
+            args.handler(args)
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", "-i", str(tmp_path / "nope.json")])
         assert code == 1
@@ -499,6 +520,18 @@ class TestPlot:
         )
         assert code == 0
         assert "<svg" in out_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"cert"', "null", "{"])
+    def test_certificate_that_is_not_an_object(self, tmp_path, capsys, text):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(text, encoding="utf-8")
+        argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(tmp_path / "x.svg")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ParseError):
+            args.handler(args)
 
     def test_rejects_non_planar_instances(self, tmp_path, capsys):
         inst = write_instance(

@@ -61,6 +61,13 @@ class TestScale:
         assert s.encode(pt("0.5,1,0")) == (1, 2, 0)
         assert s.decode((1, 2, 0)) == pt("0.5,1,0")
 
+    def test_pairs_number_like_the_fractions(self):
+        values = [Fraction(1, 10**20), Fraction(1, 10**20 + 1), Fraction(7, 20), Fraction(1, 3), Fraction(1, 2)]
+        s = Scale(values)
+        t = Scale(pairs=((v.numerator, v.denominator) for v in values[::-1]))
+        assert (t.pairs, t.rank, t.top) == (s.pairs, s.rank, s.top)
+        assert t.values == s.values
+
 
 class TestPoint:
     def test_parse_and_access(self):

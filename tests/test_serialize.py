@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maxminsep import (
     Box,
@@ -30,6 +30,7 @@ from maxminsep.serialize import (
     planar_certificate_to_dict,
     point_from_list,
     point_to_list,
+    scalar_pair,
     set_from_list,
     set_to_list,
 )
@@ -57,14 +58,14 @@ class TestScalarStrings:
         ],
     )
     def test_canonical_format(self, value, text):
-        assert format_scalar(value) == text
+        assert format_scalar(value.numerator, value.denominator) == text
 
     def test_decimal_and_fraction_spellings_agree(self):
         assert parse_scalar("0.35") == parse_scalar("7/20") == Fraction(7, 20)
 
     @given(scalars)
     def test_round_trip(self, v):
-        assert parse_scalar(format_scalar(v)) == v
+        assert parse_scalar(format_scalar(v.numerator, v.denominator)) == v
 
     @pytest.mark.parametrize("bad", [0.5, 1, None, ["0.5"]])
     def test_rejects_non_strings(self, bad):
@@ -87,6 +88,97 @@ class TestScalarStrings:
     def test_accepts_scalar_strings_within_the_bound(self):
         assert parse_scalar("1e-300") == Fraction(1, 10**300)
         assert parse_scalar("0." + "0" * 298 + "1") == Fraction(1, 10**299)
+
+
+# decimal digit sets that Fraction reads through int(): ASCII, Arabic-Indic,
+# Devanagari and fullwidth
+DIGIT_SETS = ["0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９"]
+
+
+@st.composite
+def scalar_spellings(draw):
+    """Strings around Fraction's grammar.  Half are plain ASCII spellings
+    (digits, digits/digits, digits.digits, leading zeros allowed); the
+    rest add signs, surrounding whitespace, _, exponents, .5 and 5.,
+    non-ASCII digits, the digit and exponent bounds, or junk."""
+    plain = draw(st.booleans())
+
+    def number(high):
+        text = "0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, high)))
+        if not plain and len(text) > 1 and draw(st.booleans()):
+            k = draw(st.integers(1, len(text) - 1))
+            text = text[:k] + "_" + text[k:]
+        return text
+
+    form = draw(st.sampled_from(["int", "ratio", "decimal", "lead-dot", "trail-dot", "edge", "junk"]))
+    if form == "int":
+        body = number(2)
+    elif form == "ratio":
+        body = f"{number(1200)}/{number(1000)}"
+    elif form == "decimal":
+        body = f"{number(1)}.{number(10**6)}"
+    elif form == "lead-dot":
+        body = "." + number(10**4)
+    elif form == "trail-dot":
+        body = number(2) + "."
+    elif form == "edge":
+        k = draw(st.integers(297, 301))
+        body = draw(st.sampled_from([
+            "0." + "0" * (k - 2) + "1",
+            "1/" + "1" + "0" * (k - 2),
+            "0" * (k - 1) + "1",
+            f"1e-{k}",
+            f"5E-{k}",
+            f"0.{'5' * 3}e+{k}",
+            f"1e-{k // 100}_{k % 100:02d}",
+        ]))
+    else:
+        body = draw(st.text("0123456789./eE+-_ a", max_size=8))
+    if plain:
+        return body
+    if form in ("int", "decimal", "lead-dot", "trail-dot") and draw(st.booleans()):
+        body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + number(400)
+    body = draw(st.sampled_from(["", "+", "-"])) + body
+    digit_set = draw(st.sampled_from(DIGIT_SETS))
+    body = body.translate(str.maketrans("0123456789", digit_set))
+    pad = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
+    return draw(pad) + body + draw(pad)
+
+
+class TestScalarPair:
+    """scalar_pair reads plain spellings without Fraction; it must accept
+    exactly what parse_scalar (Fraction(str) behind the size and range
+    checks) accepts, with the same value and the same error text."""
+
+    @staticmethod
+    def check(text):
+        try:
+            want = parse_scalar(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                scalar_pair(text)
+            assert str(got.value) == str(exc)
+            return
+        pair = scalar_pair(text)
+        assert pair == (want.numerator, want.denominator)
+        assert Fraction(*pair) == Fraction(text)
+
+    @given(scalar_spellings())
+    def test_agrees_with_fraction(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.5", "1/2", "0.50", " 1/2 ", "5e-1", "0.5_0", "٥/١٠", "-0", ".5", "5.", "00.500", "1", "0/7",
+         "1/0", "0/0", "3/2", "1.5", "", "1_/2", "0x1", "1/2/3", "¹/2", "0.²", "0." + "0" * 298 + "1", "0." + "0" * 299 + "1"],
+    )
+    def test_listed_spellings(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("bad", [0.5, 1, True, None])
+    def test_non_strings_keep_their_error(self, bad):
+        with pytest.raises(ParseError, match="scalar must be a string"):
+            scalar_pair(bad)
 
 
 class TestPointsAndBoxes:
@@ -269,7 +361,24 @@ class TestCertificates:
         assert data["semispace"] is None
 
 
+# keys that need escaping: set names are chosen by the user and echoed
+# into certificates
+json_keys = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "Ω", 'C"1', "😀", ""])
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | json_keys,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
 class TestDumps:
+    @given(st.dictionaries(json_keys, json_documents, max_size=5))
+    @example({})
+    @example({"a": [], "b": {}, "c": [[], {}]})
+    @example({'C"1': ["0.5"], "Ω": [True, None, -3], "\\": {"\x00": "\u2028"}})
+    def test_matches_the_standard_library(self, document):
+        assert dumps(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
     def test_key_order_is_irrelevant(self):
         a = dumps({"b": 1, "a": [2, 3]})
         b = dumps({"a": [2, 3], "b": 1})
