@@ -1,8 +1,9 @@
 """Exact max-min convex separation on the unit cube.
 
-Scalars are fractions.Fraction at the boundary and int ranks of a
-per-instance Scale inside (see maxminsep.core); every positive answer
-carries a certificate and every negative answer carries a witness.
+The functions here run each algorithm on exact fractions.Fraction
+coordinates; the CLI runs the same kernels on int ranks of a per-instance
+Scale (see maxminsep.core).  Every positive answer carries a certificate
+and every negative answer carries a witness.
 """
 from .core import (
     ONE,

@@ -11,9 +11,9 @@ import argparse
 import sys
 from functools import cache
 
-from .core import Point, check_same_dim
+from .core import Point
 from .convex import box_intersects_hull, bounding_box
-from .errors import MaxMinError, ParseError
+from .errors import DimensionError, MaxMinError, ParseError
 from .oracle import Grid, RankGrid
 from .semispaces import (
     HemispaceDescriptor,
@@ -137,6 +137,12 @@ def _field(data: dict, key: str):
     return data[key]
 
 
+def _at_dimension(n: int, p: Point) -> None:
+    """Refuse a certificate point whose dimension is not the instance's."""
+    if p.dim != n:
+        raise DimensionError(f"mixed dimensions: {sorted({p.dim, n})}")
+
+
 def _rank_grid(grid: Grid, inst: serialize.Instance, *points: Point) -> RankGrid:
     """Rank encoding of the grid, the instance and the certificate points."""
     corners = (inst.box.lower, inst.box.upper) if inst.box is not None else ()
@@ -152,6 +158,7 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
     outcome = data.get("outcome")
     if outcome in (SEMISPACE, HEMISPACE):
         S = serialize.descriptor_from_dict(_field(data, "separator"))
+        _at_dimension(inst.dimension, S.x0)
         hemispace = isinstance(S, HemispaceDescriptor)
         if hemispace != (outcome == HEMISPACE):
             carried = HEMISPACE if hemispace else SEMISPACE
@@ -170,7 +177,7 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, ch
             _sweep(checks, "no grid box point inside separator", rg.first(in_S, rg.box(B)))
     elif outcome == NOT_SEPARABLE:
         witness = serialize.point_from_list(_field(data, "witness"))
-        check_same_dim(B.lower, witness)
+        _at_dimension(inst.dimension, witness)
         rg = _rank_grid(grid, inst, witness)
         profile = box_profile(B)
         pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
@@ -194,9 +201,11 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid
     if boxed not in (1, 2):
         raise ParseError("two-set certificate needs boxed_set 1 or 2")
     box = serialize.box_from_dict(_field(data, "box"))
+    _at_dimension(inst.dimension, box.lower)
     S = None
     if data.get("semispace") is not None:
         S = serialize.descriptor_from_dict(data["semispace"])
+        _at_dimension(inst.dimension, S.x0)
         if isinstance(S, HemispaceDescriptor):
             raise ParseError("two-set certificates carry plain semispaces")
     inner, other = (C1, C2) if boxed == 1 else (C2, C1)
@@ -243,12 +252,13 @@ def _cmd_plot(args) -> int:
     cert_box = None
     if args.certificate:
         data = _load_certificate(args.certificate)
-        if data.get("separator") is not None:
-            separator = serialize.descriptor_from_dict(data["separator"])
-        if data.get("semispace") is not None:
-            separator = serialize.descriptor_from_dict(data["semispace"])
+        for key in ("separator", "semispace"):
+            if data.get(key) is not None:
+                separator = serialize.descriptor_from_dict(data[key])
+                _at_dimension(2, separator.x0)
         if data.get("box") is not None:
             cert_box = serialize.box_from_dict(data["box"])
+            _at_dimension(2, cert_box.lower)
     scene = render_scene(
         inst.box,
         inst.sets,

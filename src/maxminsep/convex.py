@@ -6,8 +6,9 @@ to residuation: per generator there is a greatest feasible coefficient, and
 the set of feasible coefficient vectors is closed under componentwise max,
 so checking the principal (greatest) solution decides the query exactly.
 
-The algorithms run on rank tuples (see core); the public functions at the
-end encode their Fraction arguments through one Scale and decode the result.
+The kernels run on tuples of any ordered scalars with a given top (see
+core); the public functions at the end run them on the exact coordinates
+with top 1.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    ONE,
     Point,
     RankBox,
     Ranks,
-    Scale,
     check_same_dim,
     join_ranks,
     leq,
@@ -44,6 +45,11 @@ class GeneratedConvexSet:
     @property
     def dim(self) -> int:
         return self.generators[0].dim
+
+    @property
+    def coords(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The generators' coordinate tuples, as the kernels take them."""
+        return tuple(v.coords for v in self.generators)
 
 
 @dataclass(frozen=True)
@@ -149,31 +155,27 @@ def hulls_common_point(gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...], top: 
 def principal_coefficients(C: GeneratedConvexSet, cap: Point) -> tuple[Fraction, ...]:
     """Greatest λ_j with (λ_j ∧ v_j) ≤ cap, one per generator."""
     check_same_dim(C.generators[0], cap)
-    s = Scale.of(cap, *C.generators)
-    return tuple(s.values[lam] for lam in principal(s.encode_all(C.generators), s.encode(cap), s.top))
+    return tuple(principal(C.generators, cap, ONE))
 
 
 def greatest_below(C: GeneratedConvexSet, cap: Point) -> Point | None:
     """Greatest hull point ≤ cap, or None; see greatest_under."""
     check_same_dim(C.generators[0], cap)
-    s = Scale.of(cap, *C.generators)
-    g = greatest_under(s.encode_all(C.generators), s.encode(cap), s.top)
-    return None if g is None else s.decode(g)
+    g = greatest_under(C.generators, cap, ONE)
+    return None if g is None else Point(g)
 
 
 def hull_contains(C: GeneratedConvexSet, y: Point) -> bool:
     """Exact hull membership; see in_hull."""
     check_same_dim(C.generators[0], y)
-    s = Scale.of(y, *C.generators)
-    return in_hull(s.encode_all(C.generators), s.encode(y), s.top)
+    return in_hull(C.generators, y.coords, ONE)
 
 
 def box_hull_witness(B: Box, C: GeneratedConvexSet) -> Point | None:
     """A common point of box and hull, or None; see box_hull_point."""
     check_same_dim(B.lower, C.generators[0])
-    s = Scale.of(B.lower, B.upper, *C.generators)
-    g = box_hull_point(encode_box(s, B), s.encode_all(C.generators), s.top)
-    return None if g is None else s.decode(g)
+    g = box_hull_point(B, C.generators, ONE)
+    return None if g is None else Point(g)
 
 
 def box_intersects_hull(B: Box, C: GeneratedConvexSet) -> bool:
@@ -182,21 +184,11 @@ def box_intersects_hull(B: Box, C: GeneratedConvexSet) -> bool:
 
 def bounding_box(C: GeneratedConvexSet) -> Box:
     """Smallest box containing the hull; see bounds."""
-    s = Scale.of(*C.generators)
-    return decode_box(s, bounds(s.encode_all(C.generators)))
+    return Box(*map(Point, bounds(C.generators)))
 
 
 def hull_intersection_witness(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> Point | None:
     """A common point of two hulls, or None; see hulls_common_point."""
     check_same_dim(C1.generators[0], C2.generators[0])
-    s = Scale.of(*C1.generators, *C2.generators)
-    g = hulls_common_point(s.encode_all(C1.generators), s.encode_all(C2.generators), s.top)
-    return None if g is None else s.decode(g)
-
-
-def encode_box(s: Scale, B: Box) -> RankBox:
-    return RankBox(s.encode(B.lower), s.encode(B.upper))
-
-
-def decode_box(s: Scale, B: RankBox) -> Box:
-    return Box(s.decode(B.lower), s.decode(B.upper))
+    g = hulls_common_point(C1.coords, C2.coords, ONE)
+    return None if g is None else Point(g)

@@ -5,23 +5,22 @@ fixed-dimension vectors of scalars.  Every operation of the library is a
 composition of min, max and comparisons, so its results reuse input values
 and commute with every strictly increasing map of [0, 1] that fixes 0 and 1.
 
-So the algorithms run on ranks.  A Scale numbers the distinct scalars of
-one instance, plus 0 and 1, as 0..K in increasing order; a point becomes a
-tuple of ints, 0 becomes rank 0 and 1 becomes rank K (`top`).  Relabelling
-by the Scale is such an order-preserving map, so answers computed on ranks
-decode to the exact answers on the scalars.  Fraction lives at the
-boundary, and only where something decodes: the JSON reader reads each
-distinct scalar string into an int pair, and the public functions below
-take and return Fraction points, encoding their arguments through one
-Scale at entry and decoding the result through the same Scale at exit.
-The rank kernels (residual, join_ranks, meet_ranks, leq, on_segment here,
-and their counterparts in the other modules) are the only implementation
-of each algorithm.
+So each algorithm has one implementation, a kernel (residual, join_ranks,
+meet_ranks, leq, on_segment here, and their counterparts in the other
+modules), and a kernel runs on any totally ordered scalars with bottom 0
+and a given top.  The public functions run the kernels on the exact
+Fraction coordinates with top 1 and wrap the result in a Point.  The CLI
+runs them on ranks: a Scale numbers the distinct scalars of one instance,
+plus 0 and 1, as 0..K in increasing order, so 0 becomes rank 0, 1 becomes
+rank K (`top`) and a point a tuple of ints.  Relabelling by the Scale is
+an order-preserving map, so answers computed on ranks decode to the exact
+answers on the scalars.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DimensionError
@@ -99,7 +98,7 @@ Ranks = tuple[int, ...]
 
 
 class RankBox(NamedTuple):
-    """A box on ranks: lower and upper corner."""
+    """A box on ranks or other ordered scalars: lower and upper corner."""
 
     lower: Ranks
     upper: Ranks
@@ -109,55 +108,49 @@ class Scale:
     """Order-preserving numbering of finitely many scalars, 0 and 1 included.
 
     pairs[r] is the normalised (numerator, denominator) of the scalar of
-    rank r, values[r] that scalar, rank the rank of a pair and top the rank
-    of 1.  One Scale belongs to one instance: it is built from that
-    instance's scalars (Fractions, or pairs, whose Fractions are built on
-    first use) and travels with it.
+    rank r, values[r] that scalar as a Fraction (built on first use), rank
+    the rank of a pair and top the rank of 1.  One Scale belongs to one
+    instance: it is built from the pairs of that instance's scalars and
+    travels with it.
 
-    Fraction hashing and comparison run in Python and cost far more than
-    int ones, so values are told apart by their pairs and sorted by float
-    with the order then confirmed exactly on ints (an exact sort runs only
-    if floats tied or misordered two values).
+    Fraction comparison runs in Python and costs far more than int
+    comparison, so the pairs are sorted by float and the order is then
+    confirmed exactly on ints (an exact sort runs only if floats tied or
+    misordered two values).
     """
 
     __slots__ = ("pairs", "rank", "top", "_values")
 
-    def __init__(self, values: Iterable[Fraction] = (), *, pairs: Iterable[tuple[int, int]] = ()) -> None:
-        given = {(v.numerator, v.denominator): v for v in (ZERO, ONE, *values)}
-        order = sorted({*given, *pairs}, key=lambda nd: nd[0] / nd[1])
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        order = sorted({(0, 1), (1, 1), *pairs}, key=lambda nd: nd[0] / nd[1])
         if any(p * s >= r * q for (p, q), (r, s) in zip(order, order[1:])):
             order = sorted(order, key=lambda nd: Fraction(*nd))
         self.pairs = tuple(order)
         self.rank = {nd: r for r, nd in enumerate(order)}
         self.top = len(order) - 1
-        # from a list, not an iterator: tuple() of an iterator resizes a
-        # 10-slot tuple, and over a long run the resized tuples fill the
-        # interpreter's per-size tuple free lists, which raises peak memory
-        self._values = tuple([given[nd] for nd in order]) if len(order) == len(given) else None
+        self._values = None
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         if self._values is None:
+            # from a list, not an iterator: tuple() of an iterator resizes a
+            # 10-slot tuple, and over a long run the resized tuples fill the
+            # interpreter's per-size tuple free lists, which raises peak memory
             self._values = tuple([Fraction(p, q) for p, q in self.pairs])
         return self._values
 
-    @classmethod
-    def of(cls, *points: Point) -> "Scale":
-        return cls(c for p in points for c in p)
-
-    def rank_of(self, v: Fraction) -> int:
-        return self.rank[v.numerator, v.denominator]
-
-    def encode(self, p: Point) -> Ranks:
+    def encode(self, p: Iterable[Fraction]) -> Ranks:
         rank = self.rank
         return tuple(rank[c.numerator, c.denominator] for c in p)
-
-    def encode_all(self, points: Iterable[Point]) -> tuple[Ranks, ...]:
-        return tuple(map(self.encode, points))
 
     def decode(self, ranks: Ranks) -> Point:
         values = self.values
         return Point(tuple(values[r] for r in ranks))
+
+
+# Stands in for a Scale where a kernel runs on the exact scalars: the top
+# is 1, and a result point decodes by becoming a Point.
+EXACT = SimpleNamespace(top=ONE, decode=Point)
 
 
 def descending_order(values) -> tuple[int, ...]:
@@ -224,26 +217,21 @@ def on_segment(x: Ranks, y: Ranks, z: Ranks, top: int) -> bool:
 def join(first: Point, *rest: Point) -> Point:
     """Componentwise max."""
     check_same_dim(first, *rest)
-    s = Scale.of(first, *rest)
-    return s.decode(join_ranks(s.encode_all((first, *rest))))
+    return Point(join_ranks((first, *rest)))
 
 
 def scale_meet(a: Fraction, x: Point) -> Point:
     """Meet a scalar into every coordinate: (a ∧ x)_i = min(a, x_i)."""
-    a = as_scalar(a)
-    s = Scale((a, *x))
-    return s.decode(meet_ranks(s.rank_of(a), s.encode(x)))
+    return Point(meet_ranks(as_scalar(a), x))
 
 
 def greatest_meet_coefficient(y: Point, cap: Point) -> Fraction:
     """Greatest b with (b ∧ y) ≤ cap; see residual."""
     check_same_dim(y, cap)
-    s = Scale.of(y, cap)
-    return s.values[residual(s.encode(y), s.encode(cap), s.top)]
+    return residual(y, cap, ONE)
 
 
 def segment_contains(x: Point, y: Point, z: Point) -> bool:
     """Decide z ∈ [x, y], the max-min segment; see on_segment."""
     check_same_dim(x, y, z)
-    s = Scale.of(x, y, z)
-    return on_segment(s.encode(x), s.encode(y), s.encode(z), s.top)
+    return on_segment(x.coords, y.coords, z.coords, ONE)

@@ -157,9 +157,10 @@ class RankGrid(Scale):
 
     def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
         grid_values = grid.values()
-        super().__init__((*grid_values, *(c for p in points for c in p)))
+        coords = (c for p in points for c in p)
+        super().__init__((c.numerator, c.denominator) for c in (*grid_values, *coords))
         self.grid = grid
-        self.axis = tuple(map(self.rank_of, grid_values))
+        self.axis = self.encode(grid_values)
 
     def box(self, B: Box) -> RankBox:
         return RankBox(self.encode(B.lower), self.encode(B.upper))
@@ -179,7 +180,7 @@ class RankGrid(Scale):
         <= y, so y is in the hull iff some generator lies below y and every
         coordinate y_i is reached by some generator."""
         gens = [self.encode(v) for v in C.generators]
-        top = len(self.values)
+        top = len(self.pairs)
 
         def member(y: Ranks) -> bool:
             lams = [min([yk for vk, yk in zip(v, y) if vk > yk], default=top) for v in gens]
@@ -227,7 +228,8 @@ def exact_separator(
     lower: Ranks, upper: Ranks, gens: tuple[Ranks, ...], top: int
 ) -> tuple[Ranks, int | None] | None:
     """A semispace (x0, coordinate) that contains every generator and misses
-    the box [lower, upper], on the ranks of one Scale whose 1 is `top`;
+    the box [lower, upper], on scalars whose 1 is `top` (the ranks of one
+    Scale, or exact values with top 1);
     None when no semispace at all does.  Exact: no grid is involved.
 
     Each type of semispace has one extreme member that misses the box and

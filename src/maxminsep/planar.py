@@ -5,23 +5,21 @@ axis-parallel box around one of them; if both sit strictly inside the
 square, the box can be complemented by a semispace around the other set.
 The box comes from a fixed candidate list derived from the bounding boxes
 of the two sets; each candidate is validated exactly before being
-returned.  The algorithms run on rank tuples (see core); the public
-functions at the end encode their Fraction arguments through one Scale and
-decode the result.
+returned.  The algorithms run on tuples of any ordered scalars with a
+given top (see core); the public functions at the end run them on the
+exact coordinates with top 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Point, RankBox, Ranks, Scale, leq
+from .core import EXACT, Point, RankBox, Ranks, Scale, leq
 from .convex import (
     Box,
     GeneratedConvexSet,
     bounds,
     box_hull_point,
-    decode_box,
-    encode_box,
     hulls_common_point,
     in_hull,
 )
@@ -74,7 +72,7 @@ def _require_planar(*sets: tuple[Ranks, ...]) -> None:
 
 
 def extremes(gens: tuple[Ranks, ...]) -> PlanarExtremes:
-    """Extremal generators and bounding box of a planar set, on ranks."""
+    """Extremal generators and bounding box of a planar set."""
     _require_planar(gens)
     # min is stable, so full ties fall back to input order by themselves
     a = min(gens, key=lambda p: (p[0], p[1]))
@@ -105,8 +103,8 @@ def classify(scale: Scale, E: PlanarExtremes, p: Ranks) -> RegionLabel:
 
 
 def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]) -> PlanarBoxCertificate:
-    """Box one of two disjoint planar sets away from the other, on the ranks
-    of `scale`.
+    """Box one of two disjoint planar sets away from the other, on the
+    scalars of `scale` (a Scale's ranks, or exact values under EXACT).
 
     Tries, in order: the bounding box of the first set, of the second, then
     for each set the four corner boxes spanned by its bounding-box extremes
@@ -145,7 +143,7 @@ def box_and_semispace(
     scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
 ) -> tuple[PlanarBoxCertificate, SemispaceDescriptor]:
     """Box one set and wrap the other in a semispace missing the box, on the
-    ranks of `scale`.
+    scalars of `scale` (a Scale's ranks, or exact values under EXACT).
 
     Both sets must avoid the square boundary: every generator coordinate
     strictly inside (0, 1).  The separating box is shrunk to the boxed
@@ -171,9 +169,8 @@ def box_and_semispace(
 
 def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:
     """Extremal generators and bounding box of a planar set; see extremes."""
-    s = Scale.of(*C.generators)
-    E = extremes(s.encode_all(C.generators))
-    return PlanarExtremes(a=s.decode(E.a), b=s.decode(E.b), c=s.decode(E.c), B0=decode_box(s, E.B0))
+    E = extremes(C.generators)
+    return replace(E, c=Point(E.c), B0=Box(*map(Point, E.B0)))
 
 
 def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
@@ -181,17 +178,18 @@ def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
     see classify."""
     if p.dim != 2:
         raise DimensionError(f"expected a planar point, got dimension {p.dim}")
-    s = Scale.of(E.a, E.b, E.c, E.B0.lower, E.B0.upper, p)
-    ranked = PlanarExtremes(a=s.encode(E.a), b=s.encode(E.b), c=s.encode(E.c), B0=encode_box(s, E.B0))
-    return classify(s, ranked, s.encode(p))
+    return classify(EXACT, E, p.coords)
+
+
+def _exact(cert: PlanarBoxCertificate) -> PlanarBoxCertificate:
+    """The certificate with its box of exact values made a Box."""
+    return replace(cert, box=Box(*map(Point, cert.box)))
 
 
 def separate_two_sets(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> PlanarBoxCertificate:
     """Box one of two disjoint planar sets away from the other; see
     box_one_set."""
-    s = Scale.of(*C1.generators, *C2.generators)
-    cert = box_one_set(s, s.encode_all(C1.generators), s.encode_all(C2.generators))
-    return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=decode_box(s, cert.box))
+    return _exact(box_one_set(EXACT, C1.coords, C2.coords))
 
 
 def separate_box_semispace(
@@ -199,6 +197,5 @@ def separate_box_semispace(
 ) -> tuple[PlanarBoxCertificate, SemispaceDescriptor]:
     """Box one set and wrap the other in a semispace missing the box; see
     box_and_semispace."""
-    s = Scale.of(*C1.generators, *C2.generators)
-    cert, S = box_and_semispace(s, s.encode_all(C1.generators), s.encode_all(C2.generators))
-    return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=decode_box(s, cert.box)), decode_descriptor(s, S)
+    cert, S = box_and_semispace(EXACT, C1.coords, C2.coords)
+    return _exact(cert), decode_descriptor(EXACT, S)

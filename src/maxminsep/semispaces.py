@@ -16,16 +16,17 @@ members actually belong to the family depends on the coordinates of x0
 that sit on the cube boundary; see semispace_family.
 
 Descriptors are plain containers: the kernels here take descriptors whose
-x0 is a rank tuple (see core), the public functions take Fraction points,
-encode them and the descriptor through one Scale, and decode the result.
+x0 is a tuple of ordered scalars (ranks in the CLI, see core) and only
+index and compare it, so the public functions pass their Fraction points
+and descriptors in as they are, with top 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core import Point, RankBox, Ranks, Scale, check_same_dim, descending_order
-from .convex import Box, GeneratedConvexSet, encode_box
+from .core import ONE, Point, RankBox, Ranks, Scale, check_same_dim, descending_order
+from .convex import Box, GeneratedConvexSet
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,6 @@ class HemispaceDescriptor:
 Descriptor = SemispaceDescriptor | HemispaceDescriptor
 
 
-def encode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
-    return replace(S, x0=s.encode(S.x0))
-
-
 def decode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
     return replace(S, x0=s.decode(S.x0))
 
@@ -125,8 +122,8 @@ def membership(S: Descriptor) -> Callable[[Ranks], bool]:
     return lambda x: x[o] < tau or any(x[m] > b for m, b in watched)
 
 
-def misses_box(S: Descriptor, box: RankBox) -> bool:
-    """Exact emptiness of S ∩ box in closed form, on ranks.
+def misses_box(S: Descriptor, box: Box | RankBox) -> bool:
+    """Exact emptiness of S ∩ box in closed form.
 
     Upper type: every box point is ≤ upper, so avoidance is upper ≤ x0.
     Index type: the box must sit at or above the threshold coordinate
@@ -147,7 +144,7 @@ def misses_box(S: Descriptor, box: RankBox) -> bool:
 
 
 def first_outside(gens: tuple[Ranks, ...], S: Descriptor) -> Ranks | None:
-    """Containment oracle on ranks: None if every generator lies in S, else
+    """Containment oracle: None if every generator lies in S, else
     the first failing generator.  Semispaces are max-min convex, so
     generator containment is equivalent to hull containment."""
     member = membership(S)
@@ -159,8 +156,7 @@ def first_outside(gens: tuple[Ranks, ...], S: Descriptor) -> Ranks | None:
 
 def sorted_profile(x0: Point) -> SortedProfile:
     """Sort x0 descending and locate its first zero and any one."""
-    s = Scale.of(x0)
-    return sorted_positions(s.encode(x0), s.top)
+    return sorted_positions(x0, ONE)
 
 
 def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
@@ -172,14 +168,12 @@ def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
     dropped.  Sorted positions at and after the first zero coordinate beta
     denote empty sets and are dropped too.
     """
-    s = Scale.of(x0)
-    return [SemispaceDescriptor(x0, o) for o in family_coordinates(s.encode(x0), s.top)]
+    return [SemispaceDescriptor(x0, o) for o in family_coordinates(x0, ONE)]
 
 
 def _contains(S: Descriptor, x: Point) -> bool:
     check_same_dim(S.x0, x)
-    s = Scale.of(S.x0, x)
-    return membership(encode_descriptor(s, S))(s.encode(x))
+    return membership(S)(x)
 
 
 def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
@@ -193,8 +187,7 @@ def hemispace_contains(H: HemispaceDescriptor, x: Point) -> bool:
 
 def _avoids(S: Descriptor, B: Box) -> bool:
     check_same_dim(S.x0, B.lower)
-    s = Scale.of(S.x0, B.lower, B.upper)
-    return misses_box(encode_descriptor(s, S), encode_box(s, B))
+    return misses_box(S, B)
 
 
 def semispace_avoids_box(S: SemispaceDescriptor, B: Box) -> bool:
@@ -210,6 +203,4 @@ def hemispace_avoids_box(H: HemispaceDescriptor, B: Box) -> bool:
 def set_in_semispace(C: GeneratedConvexSet, S: Descriptor) -> Point | None:
     """Containment oracle: None if every generator lies in S, else the first
     failing generator; see first_outside."""
-    s = Scale.of(S.x0, *C.generators)
-    w = first_outside(s.encode_all(C.generators), encode_descriptor(s, S))
-    return None if w is None else s.decode(w)
+    return first_outside(C.generators, S)

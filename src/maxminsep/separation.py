@@ -19,10 +19,9 @@ defensively: containment of the set and emptiness against the box.  A
 broken invariant raises InternalError naming the stage and the number of
 sweeps traced so far.
 
-The pipeline runs on rank tuples (see core): separate, upper_profile and
-lower_stages are the algorithms, and separate_box, box_profile and
-lower_partition encode their Fraction arguments through one Scale and
-decode the result.
+separate, upper_profile and lower_stages are the algorithms, on tuples of
+any ordered scalars with a given top (see core); separate_box, box_profile
+and lower_partition run them on the exact coordinates with top 1.
 """
 from __future__ import annotations
 
@@ -30,6 +29,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
+    EXACT,
+    ONE,
     Point,
     RankBox,
     Ranks,
@@ -39,7 +40,7 @@ from .core import (
     join_ranks,
     meet_ranks,
 )
-from .convex import Box, GeneratedConvexSet, box_hull_point, box_hull_witness, encode_box
+from .convex import Box, GeneratedConvexSet, box_hull_point, box_hull_witness
 from .errors import InternalError, IntersectionError
 from .oracle import exact_separator
 from .semispaces import (
@@ -124,7 +125,7 @@ def _unsort(perm: tuple[int, ...], values) -> Ranks:
     return tuple(coords)
 
 
-def upper_profile(box: RankBox) -> BoxProfile:
+def upper_profile(box: Box | RankBox) -> BoxProfile:
     """Sort upper bounds descending and locate the threshold t and level u."""
     n = len(box.lower)
     perm = descending_order(box.upper)
@@ -141,7 +142,7 @@ def upper_profile(box: RankBox) -> BoxProfile:
     return BoxProfile(upper_perm=perm, t=t, l=l, u=_unsort(perm, [peak] * t + ups[t:]))
 
 
-def lower_stages(box: RankBox) -> PartitionProfile:
+def lower_stages(box: Box | RankBox) -> PartitionProfile:
     """Partition the lower-sorted positions into stages of one level each.
 
     With lower bounds sorted descending, stage k takes the smallest
@@ -193,7 +194,7 @@ def separate(
     scale: Scale, box: RankBox, gens: tuple[Ranks, ...], *, with_fallback: bool = True
 ) -> SeparationCertificate:
     """Separate a box from a disjoint generated set, with certificate, on
-    the ranks of `scale`.
+    the scalars of `scale` (a Scale's ranks, or exact values under EXACT).
 
     Candidates are tried in a fixed order: the upper-type semispace at
     the upper corner when no upper bound reaches 1; otherwise the semispace
@@ -316,17 +317,13 @@ def decode_certificate(scale: Scale, cert: SeparationCertificate) -> SeparationC
 def box_profile(B: Box) -> BoxProfile:
     """Sort upper bounds descending and locate the threshold t and level u;
     see upper_profile."""
-    s = Scale.of(B.lower, B.upper)
-    profile = upper_profile(encode_box(s, B))
-    return replace(profile, u=s.decode(profile.u))
+    profile = upper_profile(B)
+    return replace(profile, u=Point(profile.u))
 
 
 def lower_partition(B: Box) -> PartitionProfile:
     """Partition the lower-sorted positions into stages; see lower_stages."""
-    s = Scale.of(B.lower, B.upper)
-    part = lower_stages(encode_box(s, B))
-    stages = tuple(replace(st, level=s.values[st.level]) for st in part.stages)
-    return replace(part, stages=stages)
+    return lower_stages(B)
 
 
 def separate_box(
@@ -335,9 +332,8 @@ def separate_box(
     """Separate a box from a disjoint generated set, with certificate; see
     separate."""
     check_same_dim(B.lower, C.generators[0])
-    s = Scale.of(B.lower, B.upper, *C.generators)
-    cert = separate(s, encode_box(s, B), s.encode_all(C.generators), with_fallback=with_fallback)
-    return decode_certificate(s, cert)
+    cert = separate(EXACT, RankBox(B.lower.coords, B.upper.coords), C.coords, with_fallback=with_fallback)
+    return decode_certificate(EXACT, cert)
 
 
 def check_sep_cond(B: Box, C: GeneratedConvexSet) -> Point | None:
@@ -365,6 +361,5 @@ def assert_nonseparable(B: Box, C: GeneratedConvexSet) -> SemispaceDescriptor | 
     shared = box_hull_witness(B, C)
     if shared is not None:
         raise IntersectionError(f"box and hull share the point {shared}", witness=shared)
-    s = Scale.of(B.lower, B.upper, *C.generators)
-    found = exact_separator(s.encode(B.lower), s.encode(B.upper), s.encode_all(C.generators), s.top)
-    return None if found is None else SemispaceDescriptor(s.decode(found[0]), found[1])
+    found = exact_separator(B.lower.coords, B.upper.coords, C.coords, ONE)
+    return None if found is None else SemispaceDescriptor(Point(found[0]), found[1])

@@ -354,9 +354,22 @@ def instance_to_dict(inst: Instance | RankInstance, fmt: Callable | None = None)
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return document
+
+
 def loads(text: str):
+    """Parse JSON; an object that repeats a key is refused, not resolved to
+    the key's last value."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
 

@@ -19,7 +19,7 @@ from maxminsep import (
     segment_contains,
     semispace_contains,
 )
-from maxminsep.core import Ranks, check_same_dim
+from maxminsep.core import Ranks, Scale, check_same_dim
 from maxminsep.oracle import RankGrid, _semispace_member
 
 
@@ -33,6 +33,12 @@ def box(lower: str, upper: str) -> Box:
 
 def gset(*specs: str) -> GeneratedConvexSet:
     return GeneratedConvexSet(tuple(pt(s) for s in specs))
+
+
+def scale_of(*points: Point) -> Scale:
+    """The Scale of the points' coordinates, built from their pairs as the
+    JSON reader builds one."""
+    return Scale((c.numerator, c.denominator) for p in points for c in p)
 
 
 def rng(seed: int) -> random.Random:

@@ -376,6 +376,28 @@ class TestVerify:
         with pytest.raises(ParseError):
             args.handler(args)
 
+    @pytest.mark.parametrize(
+        "instance, command, key, value, dims",
+        [
+            (SEPARABLE, ["separate-box"], "separator", {"type": "Si", "x0": ["0.5", "0.5", "0.5"], "i": 3}, [2, 3]),
+            (SEPARABLE, ["separate-box"], "separator", {"type": "S0", "x0": ["0.9"]}, [1, 2]),
+            (BLOCKED, ["separate-box"], "separator", {"type": "S0", "x0": ["0.5", "0.5", "0.5"], "M": [3]}, [2, 3]),
+            (BLOCKED, ["separate-box", "--no-fallback"], "witness", ["0.4", "0.8", "0.1"], [2, 3]),
+            (TWO_SETS, ["separate-2d", "--with-semispace"], "semispace",
+             {"type": "Si", "x0": ["0.5", "0.5", "0.5"], "i": 3}, [2, 3]),
+            (TWO_SETS, ["separate-2d"], "box", {"lower": ["0.1"], "upper": ["0.3"]}, [1, 2]),
+            (TWO_SETS, ["separate-2d"], "box", {"lower": ["0.1"] * 3, "upper": ["0.3"] * 3}, [2, 3]),
+        ],
+    )
+    def test_certificate_point_of_the_wrong_dimension(self, tmp_path, capsys, instance, command, key, value, dims):
+        inst = write_instance(tmp_path, instance)
+        cert_path = tmp_path / "cert.json"
+        run(capsys, [*command, "-i", inst, "-o", str(cert_path)])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        data[key] = value
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, ["verify", "-i", str(cert_path)]) == (1, "", f"error: mixed dimensions: {dims}\n")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", "-i", str(tmp_path / "nope.json")])
         assert code == 1
@@ -533,6 +555,23 @@ class TestPlot:
         with pytest.raises(ParseError):
             args.handler(args)
 
+    @pytest.mark.parametrize(
+        "key, value, dims",
+        [
+            ("box", {"lower": ["0.1"], "upper": ["0.3"]}, [1, 2]),
+            ("box", {"lower": ["0.1"] * 3, "upper": ["0.3"] * 3}, [2, 3]),
+            ("separator", {"type": "S0", "x0": ["0.5", "0.5", "0.5"]}, [2, 3]),
+            ("semispace", {"type": "Si", "x0": ["0.5", "0.5", "0.5"], "i": 3}, [2, 3]),
+        ],
+    )
+    def test_certificate_point_of_the_wrong_dimension(self, tmp_path, capsys, key, value, dims):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        out_path = tmp_path / "x.svg"
+        argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(out_path)]
+        assert run(capsys, argv) == (1, "", f"error: mixed dimensions: {dims}\n")
+        assert not out_path.exists()
+
     def test_rejects_non_planar_instances(self, tmp_path, capsys):
         inst = write_instance(
             tmp_path,
@@ -541,6 +580,42 @@ class TestPlot:
         code, _, err = run(capsys, ["plot", "-i", inst, "-o", str(tmp_path / "x.svg")])
         assert code == 1
         assert "error:" in err
+
+
+class TestRepeatedKeys:
+    """A JSON object that repeats a key is refused, not read as the key's
+    last value."""
+
+    def test_set_given_twice(self, tmp_path, capsys):
+        # the first "C" lies inside the box; read as the second alone, the
+        # instance answered semispace
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"dimension": 2, "box": {"lower": ["0.2", "0.2"], "upper": ["0.8", "0.5"]}, '
+            '"sets": {"C": [["0.3", "0.3"]], "C": [["0.1", "0.8"]]}}',
+            encoding="utf-8",
+        )
+        error = (1, "", "error: repeated key 'C' in a JSON object\n")
+        assert run(capsys, ["separate-box", "-i", str(path)]) == error
+        assert run(capsys, ["plot", "-i", str(path), "-o", str(tmp_path / "x.svg")]) == error
+
+    def test_dimension_given_twice(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(SEPARABLE).replace('"dimension": 2', '"dimension": 3, "dimension": 2'), encoding="utf-8")
+        assert run(capsys, ["separate-box", "-i", str(path)]) == (
+            1, "", "error: repeated key 'dimension' in a JSON object\n"
+        )
+
+    def test_certificate_outcome_given_twice(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, SEPARABLE)
+        cert_path = tmp_path / "cert.json"
+        run(capsys, ["separate-box", "-i", inst, "-o", str(cert_path)])
+        text = cert_path.read_text(encoding="utf-8")
+        assert text.count('"outcome": "semispace"') == 1
+        cert_path.write_text(text.replace('"outcome": "semispace"', '"outcome": "not-separable", "outcome": "semispace"'))
+        error = (1, "", "error: repeated key 'outcome' in a JSON object\n")
+        assert run(capsys, ["verify", "-i", str(cert_path)]) == error
+        assert run(capsys, ["plot", "-i", inst, "-c", str(cert_path), "-o", str(tmp_path / "x.svg")]) == error
 
 
 def test_module_entry_point(tmp_path):

@@ -48,25 +48,28 @@ class TestAsScalar:
 
 class TestScale:
     def test_orders_exactly_where_floats_tie(self):
-        # the three values share one float; the exact order must win
+        # the three values share one float; the exact order must win, and
+        # the order does not depend on the order the pairs come in
         tiny = [Fraction(1, 10**20), Fraction(1, 10**20 + 1), Fraction(1, 10**20 - 1)]
-        s = Scale(tiny + tiny[::-1])
+        s = Scale(_pairs(tiny + tiny[::-1]))
         assert s.values == (ZERO, *sorted(tiny), ONE)
-        assert [s.rank_of(v) for v in tiny] == [2, 1, 3]
+        assert s.pairs == tuple(_pairs(s.values))
+        assert [s.rank[nd] for nd in _pairs(tiny)] == [2, 1, 3]
         assert s.top == 4
+        values = [*tiny, Fraction(7, 20), Fraction(1, 3), Fraction(1, 2)]
+        s, t = Scale(_pairs(values)), Scale(_pairs(values[::-1]))
+        assert (t.pairs, t.rank, t.top, t.values) == (s.pairs, s.rank, s.top, s.values)
+        assert s.values == (ZERO, *sorted(values), ONE)
 
     def test_equal_values_share_a_rank(self):
-        s = Scale([Fraction(1, 2), as_scalar("0.50"), as_scalar("2/4"), ONE])
+        s = Scale(_pairs([Fraction(1, 2), as_scalar("0.50"), as_scalar("2/4"), ONE]))
         assert s.values == (ZERO, Fraction(1, 2), ONE)
         assert s.encode(pt("0.5,1,0")) == (1, 2, 0)
         assert s.decode((1, 2, 0)) == pt("0.5,1,0")
 
-    def test_pairs_number_like_the_fractions(self):
-        values = [Fraction(1, 10**20), Fraction(1, 10**20 + 1), Fraction(7, 20), Fraction(1, 3), Fraction(1, 2)]
-        s = Scale(values)
-        t = Scale(pairs=((v.numerator, v.denominator) for v in values[::-1]))
-        assert (t.pairs, t.rank, t.top) == (s.pairs, s.rank, s.top)
-        assert t.values == s.values
+
+def _pairs(values):
+    return [(v.numerator, v.denominator) for v in values]
 
 
 class TestPoint:

@@ -28,7 +28,6 @@ from maxminsep import (
     separate_box,
     set_in_semispace,
 )
-from maxminsep.core import Scale
 from maxminsep.oracle import RankGrid, _semispace_member, exact_separator
 from helpers import (
     _misses_box,
@@ -39,6 +38,7 @@ from helpers import (
     first_grid_separator,
     gset,
     pt,
+    scale_of,
 )
 
 
@@ -250,9 +250,9 @@ def instances(draw, dims=(1, 2, 3, 4), dens=(4, 5, 6, 10)):
 
 
 def _decide(B, C):
-    s = Scale.of(B.lower, B.upper, *C.generators)
+    s = scale_of(B.lower, B.upper, *C.generators)
     lower, upper = s.encode(B.lower), s.encode(B.upper)
-    gens = s.encode_all(C.generators)
+    gens = tuple(map(s.encode, C.generators))
     return exact_separator(lower, upper, gens, s.top), lower, upper, gens, s
 
 

@@ -1,9 +1,11 @@
-"""Relabel invariance: the exactness claim the rank kernel rests on.
+"""Relabel invariance: the exactness claim the kernels rest on.
 
 Every algorithm only takes mins, maxes and comparisons of input values, so
 a strictly increasing map of [0, 1] that fixes 0 and 1 carries the answer
 on an instance to the answer on the relabelled instance: same outcome,
-same trace stages, and every point of the certificate mapped.
+same trace stages, and every point of the certificate mapped.  The public
+functions run the kernels on exact values and the CLI runs them on the
+ranks of a Scale, which is such a map; so the two must agree.
 """
 from dataclasses import replace
 from fractions import Fraction
@@ -14,13 +16,23 @@ from hypothesis import strategies as st
 from maxminsep import (
     Box,
     GeneratedConvexSet,
+    MaxMinError,
     Point,
     SeparationCertificate,
     box_intersects_hull,
+    box_profile,
     hull_intersection_witness,
+    lower_partition,
     separate_box,
+    separate_box_semispace,
     separate_two_sets,
 )
+from maxminsep.convex import hulls_common_point
+from maxminsep.core import RankBox
+from maxminsep.planar import PlanarBoxCertificate, box_and_semispace, box_one_set
+from maxminsep.semispaces import decode_descriptor
+from maxminsep.separation import decode_certificate, lower_stages, separate, upper_profile
+from helpers import scale_of
 
 D = 8
 index = st.integers(min_value=0, max_value=D)
@@ -100,3 +112,78 @@ def test_separate_two_sets_commutes_with_relabelling(gens1, gens2, images):
     )
     assert mapped.boxed_set == cert.boxed_set
     assert mapped.box == Box(image(images, cert.box.lower), image(images, cert.box.upper))
+
+
+scalars = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=12))
+# off the square boundary, as separate_box_semispace requires
+interior = st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12)
+
+
+def points(n, coords=scalars):
+    return st.tuples(*[coords] * n).map(Point)
+
+
+@st.composite
+def boxes(draw, n):
+    p, q = draw(points(n)), draw(points(n))
+    return Box(Point(tuple(map(min, p, q))), Point(tuple(map(max, p, q))))
+
+
+def gsets(n, coords=scalars):
+    return st.lists(points(n, coords), min_size=1, max_size=4).map(lambda gens: GeneratedConvexSet(tuple(gens)))
+
+
+def answer(f, *args, **kwargs):
+    """What f returns, or the type and text of the library error it raises."""
+    try:
+        return f(*args, **kwargs)
+    except MaxMinError as exc:
+        return type(exc), str(exc)
+
+
+def separate_on_ranks(s, box: RankBox, gens, fallback: bool) -> SeparationCertificate:
+    return decode_certificate(s, separate(s, box, gens, with_fallback=fallback))
+
+
+def planar_on_ranks(cert: PlanarBoxCertificate, s) -> PlanarBoxCertificate:
+    return replace(cert, box=Box(s.decode(cert.box.lower), s.decode(cert.box.upper)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.booleans())
+def test_box_functions_match_their_kernels_on_ranks(data, n, pinned):
+    B, C = data.draw(boxes(n)), data.draw(gsets(n))
+    if pinned:
+        # an upper bound at 1, where the hemispace fallback matters
+        k = data.draw(st.integers(0, n - 1))
+        B = Box(B.lower, Point(B.upper.coords[:k] + (Fraction(1),) + B.upper.coords[k + 1 :]))
+    s = scale_of(B.lower, B.upper, *C.generators)
+    ranked = RankBox(s.encode(B.lower), s.encode(B.upper))
+    gens = tuple(map(s.encode, C.generators))
+    for fallback in (True, False):
+        assert answer(separate_box, B, C, with_fallback=fallback) == answer(separate_on_ranks, s, ranked, gens, fallback)
+    profile = upper_profile(ranked)
+    assert box_profile(B) == replace(profile, u=s.decode(profile.u))
+    part = lower_stages(ranked)
+    stages = tuple(replace(stage, level=s.values[stage.level]) for stage in part.stages)
+    assert lower_partition(B) == replace(part, stages=stages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([scalars, interior]))
+def test_two_set_functions_match_their_kernels_on_ranks(data, coords):
+    C1, C2 = data.draw(gsets(2, coords)), data.draw(gsets(2, coords))
+    s = scale_of(*C1.generators, *C2.generators)
+    gens1, gens2 = tuple(map(s.encode, C1.generators)), tuple(map(s.encode, C2.generators))
+    shared = hulls_common_point(gens1, gens2, s.top)
+    assert hull_intersection_witness(C1, C2) == (None if shared is None else s.decode(shared))
+
+    def box_on_ranks():
+        return planar_on_ranks(box_one_set(s, gens1, gens2), s)
+
+    def box_and_semispace_on_ranks():
+        cert, S = box_and_semispace(s, gens1, gens2)
+        return planar_on_ranks(cert, s), decode_descriptor(s, S)
+
+    assert answer(separate_two_sets, C1, C2) == answer(box_on_ranks)
+    assert answer(separate_box_semispace, C1, C2) == answer(box_and_semispace_on_ranks)

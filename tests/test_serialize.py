@@ -332,6 +332,19 @@ class TestInstances:
         with pytest.raises(ParseError):
             parse_instance("{not json")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dimension": 1, "dimension": 1}', "dimension"),
+            ('{"dimension": 1, "sets": {"C": [["0.3"]], "D": [["0.4"]], "C": [["0.3"]]}}', "C"),
+            ('{"dimension": 1, "box": {"lower": ["0"], "upper": ["1"], "lower": ["0"]}}', "lower"),
+        ],
+    )
+    def test_repeated_key(self, text, key):
+        # refused even where both values agree, at any depth
+        with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+            parse_instance(text)
+
 
 class TestCertificates:
     def test_box_certificate_embeds_instance(self):
