@@ -67,11 +67,7 @@ from .planar import (
     separate_box_semispace,
     separate_two_sets,
 )
-from .oracle import (
-    Grid,
-    brute_is_convex,
-    grid_hull,
-)
+from .oracle import Grid
 
 __version__ = "0.1.0"
 
@@ -127,7 +123,5 @@ __all__ = [
     "separate_box_semispace",
     "separate_two_sets",
     "Grid",
-    "brute_is_convex",
-    "grid_hull",
     "__version__",
 ]

@@ -9,27 +9,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 
-from .core import Point
-from .convex import box_intersects_hull, bounding_box
-from .errors import DimensionError, MaxMinError, ParseError
-from .oracle import Grid, RankGrid
-from .semispaces import (
-    HemispaceDescriptor,
-    hemispace_avoids_box,
-    semispace_avoids_box,
-    semispace_family,
-    set_in_semispace,
-)
-from .separation import (
-    HEMISPACE,
-    NOT_SEPARABLE,
-    SEMISPACE,
-    assert_nonseparable,
-    box_profile,
-    separate,
-)
+from .core import Point, RankBox, leq
+from .convex import box_hull_point
+from .errors import DimensionError, IntersectionError, MaxMinError, ParseError
+from .oracle import Grid, RankGrid, exact_separator
+from .semispaces import HemispaceDescriptor, semispace_family
+from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE, separate, upper_profile
 from .planar import box_and_semispace, box_one_set
 from . import serialize
 from .svg import render_scene
@@ -137,106 +125,116 @@ def _field(data: dict, key: str):
     return data[key]
 
 
-def _at_dimension(n: int, p: Point) -> None:
+def _at_dimension(n: int, p: tuple) -> None:
     """Refuse a certificate point whose dimension is not the instance's."""
-    if p.dim != n:
-        raise DimensionError(f"mixed dimensions: {sorted({p.dim, n})}")
+    if len(p) != n:
+        raise DimensionError(f"mixed dimensions: {sorted({len(p), n})}")
 
 
-def _rank_grid(grid: Grid, inst: serialize.Instance, *points: Point) -> RankGrid:
-    """Rank encoding of the grid, the instance and the certificate points."""
-    corners = (inst.box.lower, inst.box.upper) if inst.box is not None else ()
-    gens = [v for C in inst.sets.values() for v in C.generators]
-    return RankGrid(grid, (*corners, *gens, *points))
+def _misses(in_S, box: RankBox) -> bool:
+    """Whether S misses the box: each clause of S is a down-set y_o < tau
+    or an up-set y_m > x0_m, so S meets the box iff it holds a corner."""
+    return not (in_S(box.lower) or in_S(box.upper))
 
 
-def _verify_box_certificate(data: dict, inst: serialize.Instance, grid: Grid, checks: list) -> None:
+def _verify_box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
     if inst.box is None:
         raise ParseError("certificate instance lacks a box")
-    B = inst.box
     C = _single_set(inst)
     outcome = data.get("outcome")
     if outcome in (SEMISPACE, HEMISPACE):
-        S = serialize.descriptor_from_dict(_field(data, "separator"))
+        S = serialize.read_descriptor(_field(data, "separator"), table)
         _at_dimension(inst.dimension, S.x0)
         hemispace = isinstance(S, HemispaceDescriptor)
         if hemispace != (outcome == HEMISPACE):
             carried = HEMISPACE if hemispace else SEMISPACE
             raise ParseError(f"{outcome} outcome carries a {carried} descriptor")
-        avoids_box = hemispace_avoids_box if hemispace else semispace_avoids_box
-        rg = _rank_grid(grid, inst, S.x0)
-        in_hull, in_S = rg.hull(C), rg.semispace(S)
-        _check(checks, "set inside separator", set_in_semispace(C, S) is None)
-        _check(checks, "separator misses box", avoids_box(S, B))
-        _sweep(
-            checks,
-            "grid hull points inside separator",
-            rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(C)),
-        )
-        if not hemispace:
-            _sweep(checks, "no grid box point inside separator", rg.first(in_S, rg.box(B)))
     elif outcome == NOT_SEPARABLE:
-        witness = serialize.point_from_list(_field(data, "witness"))
+        witness = table.point(_field(data, "witness"))
         _at_dimension(inst.dimension, witness)
-        rg = _rank_grid(grid, inst, witness)
-        profile = box_profile(B)
+    else:
+        raise ParseError(f"unknown certificate outcome {outcome!r}")
+    rg = table.bind(RankGrid(grid, table.parsed.values()))
+    box = RankBox(*map(table.encode, inst.box))
+    gens = tuple(map(table.encode, C))
+    in_hull = rg.hull(gens)
+    if outcome == NOT_SEPARABLE:
+        w = table.encode(witness)
+        profile = upper_profile(box)
         pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
-        _check(checks, "witness in hull", rg.hull(C)(rg.encode(witness)))
-        _check(checks, "witness dominates box lower bounds", B.lower <= witness)
-        exceed = [i for i in range(B.dim) if witness[i] > B.upper[i]]
+        _check(checks, "witness in hull", in_hull(w))
+        _check(checks, "witness dominates box lower bounds", leq(box.lower, w))
+        exceed = [i for i, (a, u) in enumerate(zip(w, box.upper)) if a > u]
         _check(
             checks,
             "witness escapes inside the profile threshold",
             bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
         )
-        S = assert_nonseparable(B, C)
-        _sweep(checks, "no grid semispace separates", None if S is None else S.x0)
-    else:
-        raise ParseError(f"unknown certificate outcome {outcome!r}")
+        shared = box_hull_point(box, gens, rg.top)
+        if shared is not None:
+            point = rg.decode(shared)
+            raise IntersectionError(f"box and hull share the point {point}", witness=point)
+        found = exact_separator(box.lower, box.upper, gens, rg.top)
+        _sweep(checks, "no grid semispace separates", None if found is None else rg.decode(found[0]))
+        return
+    in_S = rg.semispace(replace(S, x0=table.encode(S.x0)))
+    _check(checks, "set inside separator", all(map(in_S, gens)))
+    _check(checks, "separator misses box", _misses(in_S, box))
+    _sweep(
+        checks,
+        "grid hull points inside separator",
+        rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(gens)),
+    )
+    if not hemispace:
+        _sweep(checks, "no grid box point inside separator", rg.first(in_S, box))
 
 
-def _verify_two_set_certificate(data: dict, inst: serialize.Instance, grid: Grid, checks: list) -> None:
+def _verify_two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
     C1, C2 = _two_sets(inst)
     boxed = serialize.json_int(data.get("boxed_set"), "boxed_set")
     if boxed not in (1, 2):
         raise ParseError("two-set certificate needs boxed_set 1 or 2")
-    box = serialize.box_from_dict(_field(data, "box"))
-    _at_dimension(inst.dimension, box.lower)
+    corners = serialize.read_box(_field(data, "box"), table)
+    _at_dimension(inst.dimension, corners[0])
     S = None
     if data.get("semispace") is not None:
-        S = serialize.descriptor_from_dict(data["semispace"])
+        S = serialize.read_descriptor(data["semispace"], table)
         _at_dimension(inst.dimension, S.x0)
         if isinstance(S, HemispaceDescriptor):
             raise ParseError("two-set certificates carry plain semispaces")
-    inner, other = (C1, C2) if boxed == 1 else (C2, C1)
-    rg = _rank_grid(grid, inst, box.lower, box.upper, *([S.x0] if S else []))
-    bb = bounding_box(inner)
-    _check(checks, "box contains its set", box.lower <= bb.lower and bb.upper <= box.upper)
-    _check(checks, "box misses the other hull", not box_intersects_hull(box, other))
+    rg = table.bind(RankGrid(grid, table.parsed.values()))
+    box = RankBox(*map(table.encode, corners))
+    inner, other = (tuple(map(table.encode, gens)) for gens in ((C1, C2) if boxed == 1 else (C2, C1)))
+    bb = rg.span(inner)
+    _check(checks, "box contains its set", leq(box.lower, bb.lower) and leq(bb.upper, box.upper))
+    _check(checks, "box misses the other hull", box_hull_point(box, other, rg.top) is None)
     _sweep(
         checks,
         "no grid point of the other hull in the box",
-        rg.first(rg.hull(other), rg.span(other), rg.box(box)),
+        rg.first(rg.hull(other), rg.span(other), box),
     )
     if S is not None:
-        _check(checks, "other set inside semispace", set_in_semispace(other, S) is None)
-        _check(checks, "semispace misses the box", semispace_avoids_box(S, box))
-        _sweep(checks, "no grid box point inside semispace", rg.first(rg.semispace(S), rg.box(box)))
+        in_S = rg.semispace(replace(S, x0=table.encode(S.x0)))
+        _check(checks, "other set inside semispace", all(map(in_S, other)))
+        _check(checks, "semispace misses the box", _misses(in_S, box))
+        _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box))
 
 
 def _cmd_verify(args) -> int:
+    """Read a certificate into one ScalarTable and check it on RankGrid ranks."""
     data = _load_certificate(args.certificate)
     if "instance" not in data:
         raise ParseError("certificate files carry their instance")
-    inst = serialize.instance_from_dict(data["instance"])
+    table = serialize.ScalarTable()
+    inst = serialize.read_instance(data["instance"], table)
     d = args.grid if args.grid else inst.options.grid
     grid = Grid(d, inst.dimension)
     checks: list[dict] = []
     kind = data.get("kind")
     if kind == "box":
-        _verify_box_certificate(data, inst, grid, checks)
+        _verify_box_certificate(data, inst, table, grid, checks)
     elif kind == "two-set":
-        _verify_two_set_certificate(data, inst, grid, checks)
+        _verify_two_set_certificate(data, inst, table, grid, checks)
     else:
         raise ParseError(f"unknown certificate kind {kind!r}")
     valid = all(c["ok"] for c in checks)
@@ -255,10 +253,10 @@ def _cmd_plot(args) -> int:
         for key in ("separator", "semispace"):
             if data.get(key) is not None:
                 separator = serialize.descriptor_from_dict(data[key])
-                _at_dimension(2, separator.x0)
+                _at_dimension(2, separator.x0.coords)
         if data.get("box") is not None:
             cert_box = serialize.box_from_dict(data["box"])
-            _at_dimension(2, cert_box.lower)
+            _at_dimension(2, cert_box.lower.coords)
     scene = render_scene(
         inst.box,
         inst.sets,

@@ -5,13 +5,13 @@ certificate by sweeping the grid points where a counterexample could sit.
 Whether any semispace separates a box from a generated set needs no grid:
 exact_separator decides it from n+1 extreme candidates.
 
-Sweeps run on ranks, not on scalars.  RankGrid is the library's Scale
-(see core) of the instance's and the certificate's scalars with the grid
-values k/d added: it numbers them all 0..K, and a point becomes the tuple
-of its coordinates' ranks.  Max-min membership only compares coordinates
-(hulls take mins and maxes of input values), so this order-preserving
-relabel is exact and the inner loops compare small ints.  Only a point
-that is returned gets decoded.
+Every check runs on ranks, not on scalars.  RankGrid is the library's
+Scale (see core) of the (numerator, denominator) pairs of the instance's
+and the certificate's scalars with the grid values k/d added: it numbers
+them all 0..K, and a point becomes the tuple of its coordinates' ranks.
+Max-min membership only compares coordinates (hulls take mins and maxes
+of input values), so this order-preserving relabel is exact and the inner
+loops compare small ints.  Only a point that is returned gets decoded.
 
 Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
 points inside the box, hull-side sweeps those inside the bounding box of the
@@ -22,18 +22,17 @@ the same first offending point a sweep over the whole grid would.
 The membership tests here are written out on ranks and share no code with
 the library they referee: hull membership checks the principal solution
 coordinate by coordinate, semispaces and hemispaces evaluate their defining
-predicates.  grid_hull and brute_is_convex take segment closures on grid
-index tuples, independent of both.
+predicates.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
-from .core import Point, RankBox, Ranks, Scale, check_same_dim
-from .convex import Box, GeneratedConvexSet
+from .core import Point, RankBox, Ranks, Scale
 from .errors import ResourceLimitError
 from .semispaces import HemispaceDescriptor, SemispaceDescriptor
 
@@ -75,103 +74,27 @@ class Grid:
         for coords in itertools.product(self.values(), repeat=self.dimension):
             yield Point(coords)
 
-    def index_of(self, p: Point) -> tuple[int, ...]:
-        """Integer indices of an on-grid point; ValueError off the grid."""
-        if p.dim != self.dimension:
-            raise ValueError(f"point dimension {p.dim} does not match grid {self.dimension}")
-        idx = []
-        for c in p:
-            k = c * self.denominator
-            if k.denominator != 1:
-                raise ValueError(f"{p} is not on the 1/{self.denominator} grid")
-            idx.append(int(k))
-        return tuple(idx)
-
-    def point_at(self, idx: tuple[int, ...]) -> Point:
-        d = self.denominator
-        return Point(tuple(Fraction(k, d) for k in idx))
-
-    def contains(self, p: Point) -> bool:
-        try:
-            self.index_of(p)
-        except ValueError:
-            return False
-        return True
-
-
-def _segment_indices(a: tuple[int, ...], b: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
-    # grid points of the segment [a, b]: one endpoint coefficient pinned at
-    # d (= scalar 1), the other swept over 0..d
-    for beta in range(d + 1):
-        yield tuple(max(ai, min(beta, bi)) for ai, bi in zip(a, b))
-        yield tuple(max(bi, min(beta, ai)) for ai, bi in zip(a, b))
-
-
-def grid_hull(points: Iterable[Point], grid: Grid) -> frozenset[Point]:
-    """Segment closure of on-grid points, computed to a fixpoint.
-
-    Worklist over pairs: each popped point is combined with everything
-    already collected (including itself); new points join the worklist.
-    Terminates because the grid is finite; stops early once the closure
-    saturates the whole grid.
-    """
-    grid.guard()
-    pts = list(points)
-    if not pts:
-        return frozenset()
-    d = grid.denominator
-    closure: set[tuple[int, ...]] = {grid.index_of(p) for p in pts}
-    queue = list(closure)
-    full = grid.size
-    while queue and len(closure) < full:
-        a = queue.pop()
-        for b in list(closure):
-            for combo in _segment_indices(a, b, d):
-                if combo not in closure:
-                    closure.add(combo)
-                    queue.append(combo)
-    return frozenset(grid.point_at(idx) for idx in closure)
-
-
-def brute_is_convex(points: Iterable[Point], grid: Grid) -> bool:
-    """Check closure of an on-grid point set under grid segments."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return True
-    check_same_dim(*pts)
-    d = grid.denominator
-    idx = {grid.index_of(p) for p in pts}
-    for a in idx:
-        for b in idx:
-            for combo in _segment_indices(a, b, d):
-                if combo not in idx:
-                    return False
-    return True
-
 
 class RankGrid(Scale):
-    """A grid and the Scale of the grid values and the coordinates of the
-    given points; axis holds the ranks of the grid values."""
+    """A grid and the Scale of the grid values and the given (numerator,
+    denominator) pairs; axis holds the ranks of the grid values."""
 
     __slots__ = ("grid", "axis")
 
-    def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
-        grid_values = grid.values()
-        coords = (c for p in points for c in p)
-        super().__init__((c.numerator, c.denominator) for c in (*grid_values, *coords))
+    def __init__(self, grid: Grid, pairs: Iterable[tuple[int, int]]) -> None:
+        d = grid.denominator
+        grid_pairs = [(k // g, d // g) for k in range(d + 1) for g in (gcd(k, d),)]
+        super().__init__((*grid_pairs, *pairs))
         self.grid = grid
-        self.axis = self.encode(grid_values)
+        self.axis = tuple(map(self.rank.__getitem__, grid_pairs))
 
-    def box(self, B: Box) -> RankBox:
-        return RankBox(self.encode(B.lower), self.encode(B.upper))
-
-    def span(self, C: GeneratedConvexSet) -> RankBox:
+    def span(self, gens: Iterable[Ranks]) -> RankBox:
         """Bounding box of the generators; it holds the hull."""
-        columns = list(zip(*(self.encode(v) for v in C.generators)))
+        columns = list(zip(*gens))
         return RankBox(tuple(map(min, columns)), tuple(map(max, columns)))
 
-    def hull(self, C: GeneratedConvexSet) -> Callable[[Ranks], bool]:
-        """Membership in the hull of C.
+    def hull(self, gens: tuple[Ranks, ...]) -> Callable[[Ranks], bool]:
+        """Membership in the hull of the generators.
 
         y is a hull point iff y = max_j min(lam_j, v_j) with some lam_j at
         the top, and the greatest lam_j with min(lam_j, v_j) <= y is the
@@ -179,8 +102,7 @@ class RankGrid(Scale):
         there is none).  Those principal coefficients always give a point
         <= y, so y is in the hull iff some generator lies below y and every
         coordinate y_i is reached by some generator."""
-        gens = [self.encode(v) for v in C.generators]
-        top = len(self.pairs)
+        top = self.top
 
         def member(y: Ranks) -> bool:
             lams = [min([yk for vk, yk in zip(v, y) if vk > yk], default=top) for v in gens]
@@ -192,8 +114,8 @@ class RankGrid(Scale):
         return member
 
     def semispace(self, S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks], bool]:
-        """Membership in a semispace or a hemispace."""
-        x0 = self.encode(S.x0)
+        """Membership in a semispace or a hemispace with rank x0."""
+        x0 = S.x0
         if isinstance(S, HemispaceDescriptor):
             M = sorted(S.M)
             return lambda y: any(y[i] > x0[i] for i in M)

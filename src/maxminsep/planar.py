@@ -3,9 +3,8 @@
 Two disjoint generated sets in dimension 2 can always be separated by an
 axis-parallel box around one of them; if both sit strictly inside the
 square, the box can be complemented by a semispace around the other set.
-The box comes from a fixed candidate list derived from the bounding boxes
-of the two sets; each candidate is validated exactly before being
-returned.  The algorithms run on tuples of any ordered scalars with a
+The box is the bounding box of one set, validated exactly against the
+other hull.  The algorithms run on tuples of any ordered scalars with a
 given top (see core); the public functions at the end run them on the
 exact coordinates with top 1.
 """
@@ -106,10 +105,10 @@ def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
     """Box one of two disjoint planar sets away from the other, on the
     scalars of `scale` (a Scale's ranks, or exact values under EXACT).
 
-    Tries, in order: the bounding box of the first set, of the second, then
-    for each set the four corner boxes spanned by its bounding-box extremes
-    and the square corners.  A candidate wins when it contains its set's
-    bounding box and misses the other hull; the first winner is returned.
+    Returns the first of the two sets' bounding boxes, in that order, that
+    misses the other set's hull.  No other box can win: a box around a set
+    contains its bounding box, so it meets the other hull whenever the
+    bounding box does.
     """
     _require_planar(gens1, gens2)
     top = scale.top
@@ -117,24 +116,9 @@ def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
     if shared is not None:
         point = scale.decode(shared)
         raise IntersectionError(f"the hulls share the point {point}", witness=point)
-    bb = {1: bounds(gens1), 2: bounds(gens2)}
-    candidates: list[tuple[int, RankBox]] = [(1, bb[1]), (2, bb[2])]
-    for which in (2, 1):
-        minx, miny = bb[which].lower
-        maxx, maxy = bb[which].upper
-        candidates.extend(
-            (which, box)
-            for box in (
-                RankBox((0, 0), (maxx, maxy)),
-                RankBox((0, miny), (maxx, top)),
-                RankBox((minx, 0), (top, maxy)),
-                RankBox((minx, miny), (top, top)),
-            )
-        )
-    for which, box in candidates:
-        inner = bb[which]
-        other = gens2 if which == 1 else gens1
-        if leq(box.lower, inner.lower) and leq(inner.upper, box.upper) and box_hull_point(box, other, top) is None:
+    for which, inner, other in ((1, gens1, gens2), (2, gens2, gens1)):
+        box = bounds(inner)
+        if box_hull_point(box, other, top) is None:
             return PlanarBoxCertificate(boxed_set=which, box=box)
     raise ExhaustionError("no candidate box separates the two sets")
 

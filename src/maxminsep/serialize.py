@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from .core import Point, RankBox, Ranks, Scale, as_scalar
 from .convex import Box, GeneratedConvexSet
 from .errors import DimensionError, ParseError
-from .semispaces import Descriptor, HemispaceDescriptor, SemispaceDescriptor
+from .semispaces import Descriptor, HemispaceDescriptor, SemispaceDescriptor, decode_descriptor
 from .separation import SeparationCertificate, TraceEntry
 from .planar import PlanarBoxCertificate
 
@@ -109,8 +109,8 @@ class ScalarTable:
 
     Only JSON strings are looked up, so a number or a list in place of a
     scalar reaches scalar_pair and is refused there.  bind numbers the
-    (numerator, denominator) pairs on a Scale of their own; encode then
-    maps a point's strings to ranks.
+    (numerator, denominator) pairs on a given Scale, or on one of their
+    own; encode then maps a point's strings to ranks.
     """
 
     def __init__(self) -> None:
@@ -127,8 +127,8 @@ class ScalarTable:
                 parsed[text] = scalar_pair(text)
         return tuple(data)
 
-    def bind(self) -> Scale:
-        scale = Scale(pairs=self.parsed.values())
+    def bind(self, scale: Scale | None = None) -> Scale:
+        scale = scale or Scale(pairs=self.parsed.values())
         rank = scale.rank
         self.code = {text: rank[nd] for text, nd in self.parsed.items()}
         return scale
@@ -150,7 +150,7 @@ def point_from_list(data) -> Point:
     return table.decode(table.point(data))
 
 
-def _read_box(data, table: ScalarTable) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def read_box(data, table: ScalarTable) -> tuple[tuple[str, ...], tuple[str, ...]]:
     if not isinstance(data, dict) or set(data) != {"lower", "upper"}:
         raise ParseError(f"box must be an object with lower and upper, got {data!r}")
     lower, upper = table.point(data["lower"]), table.point(data["upper"])
@@ -168,7 +168,7 @@ def box_to_dict(B: Box | RankBox, fmt: Callable = point_to_list) -> dict:
 
 def box_from_dict(data) -> Box:
     table = ScalarTable()
-    lower, upper = _read_box(data, table)
+    lower, upper = read_box(data, table)
     return Box(table.decode(lower), table.decode(upper))
 
 
@@ -203,10 +203,11 @@ def descriptor_to_dict(S: Descriptor, fmt: Callable = point_to_list) -> dict:
     return {"type": "Si", "x0": fmt(S.x0), "i": S.coordinate + 1}
 
 
-def descriptor_from_dict(data) -> Descriptor:
+def read_descriptor(data, table: ScalarTable) -> Descriptor:
+    """Validate a descriptor document; its x0 stays a tuple of strings."""
     if not isinstance(data, dict) or "type" not in data or "x0" not in data:
         raise ParseError(f"descriptor must carry type and x0, got {data!r}")
-    x0 = point_from_list(data["x0"])
+    x0 = table.point(data["x0"])
     kind = data["type"]
     if kind == "S0" and "M" in data:
         members = data["M"]
@@ -220,10 +221,15 @@ def descriptor_from_dict(data) -> Descriptor:
         return SemispaceDescriptor(x0, None)
     if kind == "Si":
         original = json_int(data.get("i"), "the 1-based field i of an Si descriptor") - 1
-        if not 0 <= original < x0.dim:
-            raise ParseError(f"coordinate index {data['i']} outside 1..{x0.dim}")
+        if not 0 <= original < len(x0):
+            raise ParseError(f"coordinate index {data['i']} outside 1..{len(x0)}")
         return SemispaceDescriptor(x0, original)
     raise ParseError(f"unknown descriptor type {kind!r}")
+
+
+def descriptor_from_dict(data) -> Descriptor:
+    table = ScalarTable()
+    return decode_descriptor(table, read_descriptor(data, table))
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ class RankInstance(NamedTuple):
         return list(self.sets.values())
 
 
-def _read_instance(data, table: ScalarTable) -> Instance:
+def read_instance(data, table: ScalarTable) -> Instance:
     """Validate an instance document and parse its scalars into `table`.
     The result holds every point as its tuple of scalar strings, a box as
     the pair of its corners."""
@@ -277,7 +283,7 @@ def _read_instance(data, table: ScalarTable) -> Instance:
     n = json_int(data.get("dimension"), "the instance dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
-    box = _read_box(data["box"], table) if data.get("box") is not None else None
+    box = read_box(data["box"], table) if data.get("box") is not None else None
     if box is not None and len(box[0]) != n:
         raise ParseError(f"box dimension {len(box[0])} does not match instance dimension {n}")
     raw_sets = data.get("sets")
@@ -308,7 +314,7 @@ def _read_instance(data, table: ScalarTable) -> Instance:
 
 def instance_from_dict(data) -> Instance:
     table = ScalarTable()
-    raw = _read_instance(data, table)
+    raw = read_instance(data, table)
     point = table.decode
     return Instance(
         dimension=raw.dimension,
@@ -322,7 +328,7 @@ def read_rank_instance(text: str) -> RankInstance:
     """Parse an instance document straight to ranks, on a Scale of its own
     scalars."""
     table = ScalarTable()
-    raw = _read_instance(loads(text), table)
+    raw = read_instance(loads(text), table)
     scale = table.bind()
     code = table.encode
     return RankInstance(

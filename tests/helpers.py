@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from maxminsep import (
     Box,
@@ -35,10 +36,15 @@ def gset(*specs: str) -> GeneratedConvexSet:
     return GeneratedConvexSet(tuple(pt(s) for s in specs))
 
 
+def pairs_of(*points: Point) -> Iterator[tuple[int, int]]:
+    """The (numerator, denominator) pairs of the points' coordinates."""
+    return ((c.numerator, c.denominator) for p in points for c in p)
+
+
 def scale_of(*points: Point) -> Scale:
     """The Scale of the points' coordinates, built from their pairs as the
     JSON reader builds one."""
-    return Scale((c.numerator, c.denominator) for p in points for c in p)
+    return Scale(pairs_of(*points))
 
 
 def rng(seed: int) -> random.Random:
@@ -153,8 +159,8 @@ def first_grid_separator(B: Box, C: GeneratedConvexSet, grid: Grid) -> Semispace
     followed by the coordinates sorted descending, ties by index, up to the
     first zero coordinate.
     """
-    rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
-    lower, upper = rg.box(B)
+    rg = RankGrid(grid, pairs_of(B.lower, B.upper, *C.generators))
+    lower, upper = rg.encode(B.lower), rg.encode(B.upper)
     gens = [rg.encode(v) for v in C.generators]
     zero, one = rg.axis[0], rg.axis[-1]
     n = grid.dimension
@@ -176,10 +182,10 @@ def brute_separation_search(B: Box, C: GeneratedConvexSet, grid: Grid) -> Semisp
     is exhaustive; ValueError for a box corner or generator off the grid."""
     check_same_dim(B.lower, C.generators[0])
     for corner in (B.lower, B.upper):
-        if not grid.contains(corner):
+        if not grid_contains(grid, corner):
             raise ValueError(f"box corner {corner} is not on the 1/{grid.denominator} grid")
     for v in C.generators:
-        if not grid.contains(v):
+        if not grid_contains(grid, v):
             raise ValueError(f"generator {v} is not on the 1/{grid.denominator} grid")
     return first_grid_separator(B, C, grid)
 
@@ -197,3 +203,82 @@ def assert_nonseparable(B: Box, C: GeneratedConvexSet, grid_step: Fraction) -> b
     if step <= 0 or step > 1 or step.numerator != 1:
         raise ValueError(f"grid step must be 1/d for an integer d, got {step}")
     return first_grid_separator(B, C, Grid(step.denominator, B.dim)) is None
+
+
+# Segment closures on grid index tuples: test oracles for hulls and
+# convexity, independent of the library's residuation.
+
+def index_of(grid: Grid, p: Point) -> tuple[int, ...]:
+    """Integer indices of an on-grid point; ValueError off the grid."""
+    if p.dim != grid.dimension:
+        raise ValueError(f"point dimension {p.dim} does not match grid {grid.dimension}")
+    idx = []
+    for c in p:
+        k = c * grid.denominator
+        if k.denominator != 1:
+            raise ValueError(f"{p} is not on the 1/{grid.denominator} grid")
+        idx.append(int(k))
+    return tuple(idx)
+
+
+def point_at(grid: Grid, idx: tuple[int, ...]) -> Point:
+    d = grid.denominator
+    return Point(tuple(Fraction(k, d) for k in idx))
+
+
+def grid_contains(grid: Grid, p: Point) -> bool:
+    try:
+        index_of(grid, p)
+    except ValueError:
+        return False
+    return True
+
+
+def _segment_indices(a: tuple[int, ...], b: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
+    # grid points of the segment [a, b]: one endpoint coefficient pinned at
+    # d (= scalar 1), the other swept over 0..d
+    for beta in range(d + 1):
+        yield tuple(max(ai, min(beta, bi)) for ai, bi in zip(a, b))
+        yield tuple(max(bi, min(beta, ai)) for ai, bi in zip(a, b))
+
+
+def grid_hull(points: Iterable[Point], grid: Grid) -> frozenset[Point]:
+    """Segment closure of on-grid points, computed to a fixpoint.
+
+    Worklist over pairs: each popped point is combined with everything
+    already collected (including itself); new points join the worklist.
+    Terminates because the grid is finite; stops early once the closure
+    saturates the whole grid.
+    """
+    grid.guard()
+    pts = list(points)
+    if not pts:
+        return frozenset()
+    d = grid.denominator
+    closure: set[tuple[int, ...]] = {index_of(grid, p) for p in pts}
+    queue = list(closure)
+    full = grid.size
+    while queue and len(closure) < full:
+        a = queue.pop()
+        for b in list(closure):
+            for combo in _segment_indices(a, b, d):
+                if combo not in closure:
+                    closure.add(combo)
+                    queue.append(combo)
+    return frozenset(point_at(grid, idx) for idx in closure)
+
+
+def brute_is_convex(points: Iterable[Point], grid: Grid) -> bool:
+    """Check closure of an on-grid point set under grid segments."""
+    pts = list(points)
+    if len(pts) <= 1:
+        return True
+    check_same_dim(*pts)
+    d = grid.denominator
+    idx = {index_of(grid, p) for p in pts}
+    for a in idx:
+        for b in idx:
+            for combo in _segment_indices(a, b, d):
+                if combo not in idx:
+                    return False
+    return True

@@ -20,9 +20,7 @@ from maxminsep import (
     HEMISPACE,
     bounding_box,
     box_intersects_hull,
-    brute_is_convex,
     check_sep_cond,
-    grid_hull,
     hull_contains,
     hull_intersection_witness,
     planar_extremes,
@@ -38,8 +36,10 @@ from maxminsep import (
 from helpers import (
     assert_nonseparable,
     box,
+    brute_is_convex,
     brute_segment,
     expected_family_size,
+    grid_hull,
     gset,
     maximality_witness_exists,
     pt,

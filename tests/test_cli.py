@@ -53,6 +53,21 @@ TWO_SETS = {
     "options": {"grid": 8, "fallback": True},
 }
 
+# hand-made certificates that verify reads up to their checks
+BOX_CERT = {
+    "kind": "box",
+    "instance": SEPARABLE,
+    "outcome": "semispace",
+    "separator": {"type": "S0", "x0": ["0.8", "0.5"]},
+}
+TWO_SET_CERT = {
+    "kind": "two-set",
+    "instance": TWO_SETS,
+    "boxed_set": 1,
+    "box": {"lower": ["0.55", "0.65"], "upper": ["0.85", "0.95"]},
+    "semispace": None,
+}
+
 
 def write_instance(tmp_path, data, name="instance.json"):
     path = tmp_path / name
@@ -520,6 +535,62 @@ class TestVerify:
             "witness escapes inside the profile threshold",
             "no grid semispace separates",
         ]
+
+    @pytest.mark.parametrize(
+        "certificate, error",
+        [
+            (dict(BOX_CERT, separator={"type": "S0", "x0": ["0.8", "0.5"], "M": [1]}),
+             "semispace outcome carries a hemispace descriptor"),
+            (dict(BOX_CERT, outcome="hemispace"), "hemispace outcome carries a semispace descriptor"),
+            (dict(BOX_CERT, outcome="maybe"), "unknown certificate outcome 'maybe'"),
+            (dict(BOX_CERT, kind="triangle"), "unknown certificate kind 'triangle'"),
+            (dict(BOX_CERT, instance=TWO_SETS), "certificate instance lacks a box"),
+            (dict(TWO_SET_CERT, boxed_set=3), "two-set certificate needs boxed_set 1 or 2"),
+            (dict(TWO_SET_CERT, semispace={"type": "S0", "x0": ["0.5", "0.5"], "M": [1, 2]}),
+             "two-set certificates carry plain semispaces"),
+            ({"kind": "box", "outcome": "not-separable", "witness": ["0.5", "0.5"], "instance": {
+                "dimension": 2,
+                "box": {"lower": ["0.2", "0.2"], "upper": ["0.6", "0.6"]},
+                "sets": {"C": [["0.5", "0.5"], ["0.9", "0.1"]]},
+            }}, "box and hull share the point (3/5, 1/2)"),
+        ],
+    )
+    def test_malformed_certificate_is_an_error(self, tmp_path, capsys, certificate, error):
+        path = write_instance(tmp_path, certificate, "cert.json")
+        assert run(capsys, ["verify", "-i", path]) == (1, "", f"error: {error}\n")
+
+    def test_referee_does_not_trust_misses_box(self, tmp_path, capsys, monkeypatch):
+        # a library whose misses_box skips coordinate 1 for the upper type
+        # would pass this separator: the box point (0.15, 0.1) lies in it,
+        # but the only grid point of the box, (0.1, 0.1), does not
+        from maxminsep import SemispaceDescriptor, semispaces
+
+        real = semispaces.misses_box
+
+        def skips_coordinate_1(S, box):
+            if isinstance(S, SemispaceDescriptor) and S.coordinate is None:
+                return all(u <= a for i, (u, a) in enumerate(zip(box.upper, S.x0)) if i != 0)
+            return real(S, box)
+
+        monkeypatch.setattr(semispaces, "misses_box", skips_coordinate_1)
+        certificate = {
+            "kind": "box",
+            "outcome": "semispace",
+            "separator": {"type": "S0", "x0": ["0.12", "0.5"]},
+            "instance": {
+                "dimension": 2,
+                "box": {"lower": ["0.05", "0.05"], "upper": ["0.15", "0.15"]},
+                "sets": {"C": [["0.9", "0.9"]]},
+            },
+        }
+        code, out, _ = run(capsys, ["verify", "-i", write_instance(tmp_path, certificate, "cert.json")])
+        assert code == 1
+        assert {c["check"]: c["ok"] for c in json.loads(out)["checks"]} == {
+            "set inside separator": True,
+            "separator misses box": False,
+            "grid hull points inside separator": True,
+            "no grid box point inside separator": True,
+        }
 
 
 class TestPlot:

@@ -14,13 +14,12 @@ from maxminsep import (
     box_hull_witness,
     box_intersects_hull,
     greatest_below,
-    grid_hull,
     hull_contains,
     hull_intersection_witness,
     principal_coefficients,
     scale_meet,
 )
-from helpers import box, gset, pt, rand_box, rand_gset, rng
+from helpers import box, grid_hull, gset, pt, rand_box, rand_gset, rng
 
 
 def grid_points(n: int, denom: int = 6):

@@ -1,5 +1,6 @@
 """The grid referee: exhaustive, exact, and deliberately naive."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -18,8 +19,6 @@ from maxminsep import (
     SEMISPACE,
     SemispaceDescriptor,
     box_intersects_hull,
-    brute_is_convex,
-    grid_hull,
     hemispace_contains,
     hull_contains,
     semispace_avoids_box,
@@ -28,15 +27,24 @@ from maxminsep import (
     separate_box,
     set_in_semispace,
 )
+from maxminsep.cli import _misses
+from maxminsep.core import RankBox
 from maxminsep.oracle import RankGrid, _semispace_member, exact_separator
+from maxminsep.semispaces import misses_box
 from helpers import (
     _misses_box,
     box,
+    brute_is_convex,
     brute_segment,
     brute_separation_search,
     combo,
     first_grid_separator,
+    grid_contains,
+    grid_hull,
     gset,
+    index_of,
+    pairs_of,
+    point_at,
     pt,
     scale_of,
 )
@@ -58,12 +66,12 @@ class TestGrid:
     def test_index_round_trip(self):
         grid = Grid(3, 2)
         for idx in product(range(4), repeat=2):
-            assert grid.index_of(grid.point_at(idx)) == idx
+            assert index_of(grid, point_at(grid, idx)) == idx
 
     def test_contains(self):
         grid = Grid(4, 2)
-        assert grid.contains(pt("0.25,1"))
-        assert not grid.contains(pt("0.2,1"))
+        assert grid_contains(grid, pt("0.25,1"))
+        assert not grid_contains(grid, pt("0.2,1"))
 
     def test_guard_rejects_huge_grids(self):
         with pytest.raises(ResourceLimitError):
@@ -186,22 +194,25 @@ class TestRankGridDifferential:
             _, other = _random_instance(r, n, den)
             x0 = Point(tuple(Fraction(r.randrange(den + 1), den) for _ in range(n)))
             H = HemispaceDescriptor(x0, frozenset(i for i in range(n) if r.random() < 0.6))
-            rg = RankGrid(grid, (B.lower, B.upper, x0, *C.generators, *other.generators))
-            in_hull = rg.hull(C)
+            rg = RankGrid(grid, pairs_of(B.lower, B.upper, x0, *C.generators, *other.generators))
+            rank_box = RankBox(rg.encode(B.lower), rg.encode(B.upper))
+            gens = tuple(map(rg.encode, C.generators))
+            other_gens = tuple(map(rg.encode, other.generators))
+            in_hull = rg.hull(gens)
             assert [in_hull(rg.encode(p)) for p in grid.points()] == [
                 hull_contains(C, p) for p in grid.points()
             ]
-            assert all(in_hull(rg.encode(v)) for v in C.generators)
-            assert rg.first(rg.hull(other), rg.span(other), rg.box(B)) == _reference_first(
+            assert all(map(in_hull, gens))
+            assert rg.first(rg.hull(other_gens), rg.span(other_gens), rank_box) == _reference_first(
                 grid, lambda p: B.contains_point(p) and hull_contains(other, p)
             )
             for S in [*semispace_family(x0), H]:
                 member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
-                in_S = rg.semispace(S)
-                assert rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(C)) == _reference_first(
+                in_S = rg.semispace(replace(S, x0=rg.encode(S.x0)))
+                assert rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(gens)) == _reference_first(
                     grid, lambda p: hull_contains(C, p) and not member(S, p)
                 )
-                assert rg.first(in_S, rg.box(B)) == _reference_first(
+                assert rg.first(in_S, rank_box) == _reference_first(
                     grid, lambda p: B.contains_point(p) and member(S, p)
                 )
 
@@ -221,17 +232,19 @@ class TestRankGridDifferential:
         grid = Grid(4, 2)
         B = box("0,0", "1,1")
         C = gset("1/6,5/6")
-        rg = RankGrid(grid, (B.lower, B.upper, *C.generators))
-        assert rg.first(lambda y: True, rg.box(B)) == pt("0,0")
-        assert rg.first(rg.hull(C), rg.span(C), rg.box(B)) is None
+        rg = RankGrid(grid, pairs_of(B.lower, B.upper, *C.generators))
+        rank_box = RankBox(rg.encode(B.lower), rg.encode(B.upper))
+        gens = tuple(map(rg.encode, C.generators))
+        assert rg.first(lambda y: True, rank_box) == pt("0,0")
+        assert rg.first(rg.hull(gens), rg.span(gens), rank_box) is None
         assert first_grid_separator(B, C, grid) is None
 
     def test_guard_runs_before_any_enumeration(self):
         grid = Grid(10, 7)
         corner = Point.constant(7, "0.5")
-        rg = RankGrid(grid, (corner,))
+        rg = RankGrid(grid, pairs_of(corner))
         with pytest.raises(ResourceLimitError):
-            rg.first(lambda y: pytest.fail("a point was enumerated"), rg.box(Box(corner, corner)))
+            rg.first(lambda y: pytest.fail("a point was enumerated"), RankBox(rg.encode(corner), rg.encode(corner)))
         with pytest.raises(ResourceLimitError):
             first_grid_separator(Box(corner, corner), GeneratedConvexSet((corner,)), grid)
 
@@ -247,6 +260,33 @@ def instances(draw, dims=(1, 2, 3, 4), dens=(4, 5, 6, 10)):
     B = Box(Point(tuple(map(min, p, q))), Point(tuple(map(max, p, q))))
     C = GeneratedConvexSet(tuple(draw(st.lists(point, min_size=1, max_size=4))))
     return B, C, den
+
+
+@st.composite
+def rank_descriptors(draw, top=6):
+    """(descriptor, box) on ranks 0..top: an upper-type or coordinate
+    semispace, or a hemispace, and any box of the same dimension."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, top)] * n)
+    x0, p, q = draw(point), draw(point), draw(point)
+    S = draw(st.one_of(
+        st.sampled_from([None, *range(n)]).map(lambda o: SemispaceDescriptor(x0, o)),
+        st.sets(st.integers(0, n - 1)).map(lambda M: HemispaceDescriptor(x0, M)),
+    ))
+    return S, RankBox(tuple(map(min, p, q)), tuple(map(max, p, q)))
+
+
+class TestTwoCornerRule:
+    """verify decides box emptiness of a separator from the box's two
+    corners and the referee's own predicate, not with the library's
+    closed form."""
+
+    @given(rank_descriptors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_misses_box(self, case):
+        S, rank_box = case
+        in_S = RankGrid(Grid(1, len(S.x0)), ()).semispace(S)
+        assert _misses(in_S, rank_box) == misses_box(S, rank_box)
 
 
 def _decide(B, C):

@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxminsep import (
     BoundaryError,
@@ -14,7 +16,6 @@ from maxminsep import (
     RegionLabel,
     bounding_box,
     box_intersects_hull,
-    brute_is_convex,
     hull_contains,
     hull_intersection_witness,
     planar_extremes,
@@ -25,8 +26,21 @@ from maxminsep import (
     separate_two_sets,
     set_in_semispace,
 )
-from helpers import box, gset, pt, rand_interior_gset, rand_gset, rng
+from helpers import box, brute_is_convex, gset, pt, rand_interior_gset, rand_gset, rng
 
+
+
+def planar_sets(denominators=(4, 6, 10)):
+    """Generated sets of 1 to 4 planar points on a 1/d grid."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.lists(
+            st.tuples(st.integers(0, d), st.integers(0, d)).map(
+                lambda ks: Point((Fraction(ks[0], d), Fraction(ks[1], d)))
+            ),
+            min_size=1,
+            max_size=4,
+        ).map(lambda gens: GeneratedConvexSet(tuple(gens)))
+    )
 
 class TestPlanarExtremes:
     def test_worked_example(self):
@@ -169,6 +183,15 @@ class TestSeparateTwoSets:
             bb = bounding_box(boxed)
             assert cert.box.lower <= bb.lower and bb.upper <= cert.box.upper
             assert not box_intersects_hull(cert.box, other)
+
+    @given(planar_sets(), planar_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_box_is_a_bounding_box_and_the_first_set_goes_first(self, C1, C2):
+        assume(hull_intersection_witness(C1, C2) is None)
+        cert = separate_two_sets(C1, C2)
+        assert cert.box == bounding_box(C1 if cert.boxed_set == 1 else C2)
+        if not box_intersects_hull(bounding_box(C1), C2):
+            assert cert.boxed_set == 1
 
     def test_intersecting_hulls_are_rejected(self):
         with pytest.raises(IntersectionError) as err:

@@ -12,7 +12,6 @@ from maxminsep import (
     HemispaceDescriptor,
     Point,
     SemispaceDescriptor,
-    brute_is_convex,
     hemispace_avoids_box,
     hemispace_contains,
     semispace_avoids_box,
@@ -21,7 +20,7 @@ from maxminsep import (
     set_in_semispace,
     sorted_profile,
 )
-from helpers import box, expected_family_size, gset, maximality_witness_exists, pt
+from helpers import box, brute_is_convex, expected_family_size, gset, maximality_witness_exists, pt
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
 coord4 = st.integers(min_value=0, max_value=4).map(lambda k: Fraction(k, 4))
