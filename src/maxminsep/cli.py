@@ -15,7 +15,7 @@ from functools import cache
 from .core import Point, RankBox, leq
 from .convex import box_hull_point
 from .errors import DimensionError, IntersectionError, MaxMinError, ParseError
-from .oracle import Grid, RankGrid, exact_separator
+from .oracle import Grid, RankGrid, _misses, exact_separator, hull, semispace, span
 from .semispaces import HemispaceDescriptor, semispace_family
 from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE, separate, upper_profile
 from .planar import box_and_semispace, box_one_set
@@ -131,12 +131,6 @@ def _at_dimension(n: int, p: tuple) -> None:
         raise DimensionError(f"mixed dimensions: {sorted({len(p), n})}")
 
 
-def _misses(in_S, box: RankBox) -> bool:
-    """Whether S misses the box: each clause of S is a down-set y_o < tau
-    or an up-set y_m > x0_m, so S meets the box iff it holds a corner."""
-    return not (in_S(box.lower) or in_S(box.upper))
-
-
 def _verify_box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
     if inst.box is None:
         raise ParseError("certificate instance lacks a box")
@@ -154,10 +148,10 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, table, grid: G
         _at_dimension(inst.dimension, witness)
     else:
         raise ParseError(f"unknown certificate outcome {outcome!r}")
-    rg = table.bind(RankGrid(grid, table.parsed.values()))
+    scale = table.bind(None if outcome == NOT_SEPARABLE else RankGrid(grid, table.parsed.values()))
     box = RankBox(*map(table.encode, inst.box))
     gens = tuple(map(table.encode, C))
-    in_hull = rg.hull(gens)
+    in_hull = hull(gens, scale.top)
     if outcome == NOT_SEPARABLE:
         w = table.encode(witness)
         profile = upper_profile(box)
@@ -170,23 +164,30 @@ def _verify_box_certificate(data: dict, inst: serialize.Instance, table, grid: G
             "witness escapes inside the profile threshold",
             bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
         )
-        shared = box_hull_point(box, gens, rg.top)
+        shared = box_hull_point(box, gens, scale.top)
         if shared is not None:
-            point = rg.decode(shared)
+            point = scale.decode(shared)
             raise IntersectionError(f"box and hull share the point {point}", witness=point)
-        found = exact_separator(box.lower, box.upper, gens, rg.top)
-        _sweep(checks, "no grid semispace separates", None if found is None else rg.decode(found[0]))
+        found = exact_separator(box.lower, box.upper, gens, scale.top)
+        x0 = None if found is None else found[0]
+        trace = data.get("trace")
+        if x0 is None and isinstance(trace, list) and any(isinstance(e, dict) and e.get("stage") == 4 for e in trace):
+            # the fallback ran: its extreme hemispace, which misses the box, must fail too
+            M = frozenset(i for i, u in enumerate(box.upper) if u < scale.top)
+            if all(map(semispace(HemispaceDescriptor(box.upper, M)), gens)):
+                x0 = box.upper
+        _sweep(checks, "no grid semispace separates", None if x0 is None else scale.decode(x0))
         return
-    in_S = rg.semispace(replace(S, x0=table.encode(S.x0)))
+    in_S = semispace(replace(S, x0=table.encode(S.x0)))
     _check(checks, "set inside separator", all(map(in_S, gens)))
     _check(checks, "separator misses box", _misses(in_S, box))
     _sweep(
         checks,
         "grid hull points inside separator",
-        rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(gens)),
+        scale.first(lambda y: not in_S(y) and in_hull(y), span(gens)),
     )
     if not hemispace:
-        _sweep(checks, "no grid box point inside separator", rg.first(in_S, box))
+        _sweep(checks, "no grid box point inside separator", scale.first(in_S, box))
 
 
 def _verify_two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
@@ -205,23 +206,23 @@ def _verify_two_set_certificate(data: dict, inst: serialize.Instance, table, gri
     rg = table.bind(RankGrid(grid, table.parsed.values()))
     box = RankBox(*map(table.encode, corners))
     inner, other = (tuple(map(table.encode, gens)) for gens in ((C1, C2) if boxed == 1 else (C2, C1)))
-    bb = rg.span(inner)
+    bb = span(inner)
     _check(checks, "box contains its set", leq(box.lower, bb.lower) and leq(bb.upper, box.upper))
     _check(checks, "box misses the other hull", box_hull_point(box, other, rg.top) is None)
     _sweep(
         checks,
         "no grid point of the other hull in the box",
-        rg.first(rg.hull(other), rg.span(other), box),
+        rg.first(hull(other, rg.top), span(other), box),
     )
     if S is not None:
-        in_S = rg.semispace(replace(S, x0=table.encode(S.x0)))
+        in_S = semispace(replace(S, x0=table.encode(S.x0)))
         _check(checks, "other set inside semispace", all(map(in_S, other)))
         _check(checks, "semispace misses the box", _misses(in_S, box))
         _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box))
 
 
 def _cmd_verify(args) -> int:
-    """Read a certificate into one ScalarTable and check it on RankGrid ranks."""
+    """Read a certificate into one ScalarTable and check it on its ranks."""
     data = _load_certificate(args.certificate)
     if "instance" not in data:
         raise ParseError("certificate files carry their instance")

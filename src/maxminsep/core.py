@@ -37,7 +37,7 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, float):
         raise TypeError("floats are inexact; pass str, int or Fraction")
-    v = Fraction(value)
+    v = value if type(value) is Fraction else Fraction(value)
     # on the normalised numerator and the positive denominator: Fraction
     # comparisons cost far more than int ones
     if not 0 <= v.numerator <= v.denominator:

@@ -5,13 +5,14 @@ certificate by sweeping the grid points where a counterexample could sit.
 Whether any semispace separates a box from a generated set needs no grid:
 exact_separator decides it from n+1 extreme candidates.
 
-Every check runs on ranks, not on scalars.  RankGrid is the library's
-Scale (see core) of the (numerator, denominator) pairs of the instance's
-and the certificate's scalars with the grid values k/d added: it numbers
-them all 0..K, and a point becomes the tuple of its coordinates' ranks.
-Max-min membership only compares coordinates (hulls take mins and maxes
-of input values), so this order-preserving relabel is exact and the inner
-loops compare small ints.  Only a point that is returned gets decoded.
+Every check runs on ranks, not on scalars: a Scale (see core) numbers the
+scalars of the instance and the certificate 0..K, and a point becomes the
+tuple of its coordinates' ranks.  Max-min membership only compares
+coordinates (hulls take mins and maxes of input values), so this
+order-preserving relabel is exact and the inner loops compare small ints.
+Only a sweep needs the grid: RankGrid adds the grid values k/d to the
+Scale, and only after the grid passes its guard.  Only a point that is
+returned gets decoded.
 
 Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
 points inside the box, hull-side sweeps those inside the bounding box of the
@@ -76,57 +77,23 @@ class Grid:
 
 
 class RankGrid(Scale):
-    """A grid and the Scale of the grid values and the given (numerator,
-    denominator) pairs; axis holds the ranks of the grid values."""
+    """The Scale of the given pairs and the grid values, numbered only once
+    the grid passes its guard; axis holds the ranks of the grid values."""
 
-    __slots__ = ("grid", "axis")
+    __slots__ = ("axis",)
 
     def __init__(self, grid: Grid, pairs: Iterable[tuple[int, int]]) -> None:
+        grid.guard()
         d = grid.denominator
         grid_pairs = [(k // g, d // g) for k in range(d + 1) for g in (gcd(k, d),)]
         super().__init__((*grid_pairs, *pairs))
-        self.grid = grid
         self.axis = tuple(map(self.rank.__getitem__, grid_pairs))
-
-    def span(self, gens: Iterable[Ranks]) -> RankBox:
-        """Bounding box of the generators; it holds the hull."""
-        columns = list(zip(*gens))
-        return RankBox(tuple(map(min, columns)), tuple(map(max, columns)))
-
-    def hull(self, gens: tuple[Ranks, ...]) -> Callable[[Ranks], bool]:
-        """Membership in the hull of the generators.
-
-        y is a hull point iff y = max_j min(lam_j, v_j) with some lam_j at
-        the top, and the greatest lam_j with min(lam_j, v_j) <= y is the
-        least y_k over the coordinates where v_j exceeds y (the top when
-        there is none).  Those principal coefficients always give a point
-        <= y, so y is in the hull iff some generator lies below y and every
-        coordinate y_i is reached by some generator."""
-        top = self.top
-
-        def member(y: Ranks) -> bool:
-            lams = [min([yk for vk, yk in zip(v, y) if vk > yk], default=top) for v in gens]
-            return top in lams and all(
-                any(lam >= yi and v[i] >= yi for lam, v in zip(lams, gens))
-                for i, yi in enumerate(y)
-            )
-
-        return member
-
-    def semispace(self, S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks], bool]:
-        """Membership in a semispace or a hemispace with rank x0."""
-        x0 = S.x0
-        if isinstance(S, HemispaceDescriptor):
-            M = sorted(S.M)
-            return lambda y: any(y[i] > x0[i] for i in M)
-        return _semispace_member(x0, S.coordinate)
 
     def first(self, offending: Callable[[Ranks], bool], *regions: RankBox) -> Point | None:
         """First grid point, in lexicographic order, that lies in every
         region and is offending; decoded, None when there is none."""
-        self.grid.guard()
         axes = []
-        for i in range(self.grid.dimension):
+        for i in range(len(regions[0][0])):
             lo = max(r[0][i] for r in regions)
             hi = min(r[1][i] for r in regions)
             axes.append([g for g in self.axis if lo <= g <= hi])
@@ -134,6 +101,47 @@ class RankGrid(Scale):
             if offending(y):
                 return self.decode(y)
         return None
+
+
+def span(gens: Iterable[Ranks]) -> RankBox:
+    """Bounding box of the generators; it holds the hull."""
+    columns = list(zip(*gens))
+    return RankBox(tuple(map(min, columns)), tuple(map(max, columns)))
+
+
+def hull(gens: tuple[Ranks, ...], top: int) -> Callable[[Ranks], bool]:
+    """Membership in the hull of the generators, on ranks whose 1 is `top`.
+
+    y is a hull point iff y = max_j min(lam_j, v_j) with some lam_j at
+    the top, and the greatest lam_j with min(lam_j, v_j) <= y is the
+    least y_k over the coordinates where v_j exceeds y (the top when
+    there is none).  Those principal coefficients always give a point
+    <= y, so y is in the hull iff some generator lies below y and every
+    coordinate y_i is reached by some generator."""
+
+    def member(y: Ranks) -> bool:
+        lams = [min([yk for vk, yk in zip(v, y) if vk > yk], default=top) for v in gens]
+        return top in lams and all(
+            any(lam >= yi and v[i] >= yi for lam, v in zip(lams, gens))
+            for i, yi in enumerate(y)
+        )
+
+    return member
+
+
+def semispace(S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks], bool]:
+    """Membership in a semispace or a hemispace with rank x0."""
+    x0 = S.x0
+    if isinstance(S, HemispaceDescriptor):
+        M = sorted(S.M)
+        return lambda y: any(y[i] > x0[i] for i in M)
+    return _semispace_member(x0, S.coordinate)
+
+
+def _misses(in_S: Callable[[Ranks], bool], box: RankBox) -> bool:
+    """Whether S misses the box: each clause of S is a down-set y_o < tau
+    or an up-set y_m > x0_m, so S meets the box iff it holds a corner."""
+    return not (in_S(box.lower) or in_S(box.upper))
 
 
 def _semispace_member(x0: Ranks, o: int | None) -> Callable[[Ranks], bool]:

@@ -130,10 +130,9 @@ def box_and_semispace(
     scalars of `scale` (a Scale's ranks, or exact values under EXACT).
 
     Both sets must avoid the square boundary: every generator coordinate
-    strictly inside (0, 1).  The separating box is shrunk to the boxed
-    set's bounding box (a subset of a valid separator still separates);
-    its upper bounds then stay below 1, so the box-side condition holds
-    and semispace separation of the other set succeeds.
+    strictly inside (0, 1).  box_one_set returns the boxed set's bounding
+    box, whose upper bounds then stay below 1, so the box-side condition
+    holds and semispace separation of the other set succeeds.
     """
     _require_planar(gens1, gens2)
     for gens in (gens1, gens2):
@@ -141,14 +140,11 @@ def box_and_semispace(
             if any(c == 0 or c == scale.top for c in v):
                 raise BoundaryError(f"generator {scale.decode(v)} touches the square boundary")
     cert = box_one_set(scale, gens1, gens2)
-    boxed, other = (gens1, gens2) if cert.boxed_set == 1 else (gens2, gens1)
-    tight = bounds(boxed)
-    if box_hull_point(tight, other, scale.top) is not None:
-        raise InternalError("shrunk box meets the other hull despite a valid separator")
-    inner = separate(scale, tight, other, with_fallback=False)
+    other = gens2 if cert.boxed_set == 1 else gens1
+    inner = separate(scale, cert.box, other, with_fallback=False)
     if inner.outcome != SEMISPACE or not isinstance(inner.separator, SemispaceDescriptor):
         raise InternalError("semispace stage failed although the box stays below 1")
-    return PlanarBoxCertificate(boxed_set=cert.boxed_set, box=tight), inner.separator
+    return cert, inner.separator
 
 
 def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:

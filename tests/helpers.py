@@ -164,7 +164,6 @@ def first_grid_separator(B: Box, C: GeneratedConvexSet, grid: Grid) -> Semispace
     gens = [rg.encode(v) for v in C.generators]
     zero, one = rg.axis[0], rg.axis[-1]
     n = grid.dimension
-    grid.guard()
     for x0 in itertools.product(rg.axis, repeat=n):
         family = [o for o in sorted(range(n), key=lambda i: (-x0[i], i)) if x0[o] != zero]
         if one not in x0:

@@ -536,6 +536,60 @@ class TestVerify:
             "no grid semispace separates",
         ]
 
+    def test_false_negative_refuted_by_the_recorded_hemispace_stage(self, tmp_path, capsys, monkeypatch):
+        # a library whose hemispace sweep always fails answers not-separable
+        # after stages 2 and 4, although the hemispace at (1/2, 1) with
+        # M = {1} holds every generator and misses the box
+        from maxminsep import HemispaceDescriptor, separation
+
+        real = separation.first_outside
+        instance = {
+            "dimension": 2,
+            "box": {"lower": ["2/5", "2/5"], "upper": ["1/2", "1"]},
+            "sets": {"C": [["9/10", "1/10"], ["9/10", "0"], ["7/10", "2/5"]]},
+            "options": {"grid": 10, "fallback": True},
+        }
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                separation, "first_outside",
+                lambda gens, S: gens[0] if isinstance(S, HemispaceDescriptor) else real(gens, S),
+            )
+            code, cert_path = self.emit_certificate(tmp_path, capsys, instance)
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        assert (code, data["outcome"]) == (2, "not-separable")
+        assert [e["stage"] for e in data["trace"]] == [2, 4]
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [{"check": "no grid semispace separates", "ok": False, "point": ["0.5", "1"]}]
+
+    @pytest.mark.parametrize("instance, extra", [(BLOCKED, ["--no-fallback"]), (SEPARABLE, [])])
+    def test_grid_is_validated_on_both_paths(self, tmp_path, capsys, instance, extra):
+        _, cert_path = self.emit_certificate(tmp_path, capsys, instance, extra=extra)
+        assert run(capsys, ["verify", "-i", str(cert_path), "--grid", "-3"]) == (
+            1, "", "error: grid denominator must be a positive integer\n"
+        )
+
+    def test_huge_certificate_grid_is_refused_before_it_is_numbered(self, tmp_path, capsys, monkeypatch):
+        from maxminsep import oracle
+
+        _, cert_path = self.emit_certificate(tmp_path, capsys, dict(SEPARABLE, options={"grid": 10**11}))
+        monkeypatch.setattr(oracle, "gcd", lambda *args: pytest.fail("a grid value was numbered"))
+        assert run(capsys, ["verify", "-i", str(cert_path)]) == (
+            1, "", f"error: grid holds {(10**11 + 1) ** 2} points, above the 2000000 bound\n"
+        )
+
+    def test_huge_certificate_grid_is_not_numbered_for_a_not_separable_claim(self, tmp_path, capsys, monkeypatch):
+        from maxminsep import oracle
+
+        instance = dict(BLOCKED, options={"grid": 10**11, "fallback": True})
+        _, cert_path = self.emit_certificate(tmp_path, capsys, instance, extra=["--no-fallback"])
+        _, expected, _ = run(capsys, ["verify", "-i", str(cert_path), "--grid", "10"])
+        monkeypatch.setattr(oracle, "gcd", lambda *args: pytest.fail("a grid value was numbered"))
+        code, out, err = run(capsys, ["verify", "-i", str(cert_path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == dict(json.loads(expected), grid=10**11)
+
     @pytest.mark.parametrize(
         "certificate, error",
         [

@@ -27,9 +27,8 @@ from maxminsep import (
     separate_box,
     set_in_semispace,
 )
-from maxminsep.cli import _misses
 from maxminsep.core import RankBox
-from maxminsep.oracle import RankGrid, _semispace_member, exact_separator
+from maxminsep.oracle import RankGrid, _misses, _semispace_member, exact_separator, hull, semispace, span
 from maxminsep.semispaces import misses_box
 from helpers import (
     _misses_box,
@@ -198,18 +197,18 @@ class TestRankGridDifferential:
             rank_box = RankBox(rg.encode(B.lower), rg.encode(B.upper))
             gens = tuple(map(rg.encode, C.generators))
             other_gens = tuple(map(rg.encode, other.generators))
-            in_hull = rg.hull(gens)
+            in_hull = hull(gens, rg.top)
             assert [in_hull(rg.encode(p)) for p in grid.points()] == [
                 hull_contains(C, p) for p in grid.points()
             ]
             assert all(map(in_hull, gens))
-            assert rg.first(rg.hull(other_gens), rg.span(other_gens), rank_box) == _reference_first(
+            assert rg.first(hull(other_gens, rg.top), span(other_gens), rank_box) == _reference_first(
                 grid, lambda p: B.contains_point(p) and hull_contains(other, p)
             )
             for S in [*semispace_family(x0), H]:
                 member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
-                in_S = rg.semispace(replace(S, x0=rg.encode(S.x0)))
-                assert rg.first(lambda y: not in_S(y) and in_hull(y), rg.span(gens)) == _reference_first(
+                in_S = semispace(replace(S, x0=rg.encode(S.x0)))
+                assert rg.first(lambda y: not in_S(y) and in_hull(y), span(gens)) == _reference_first(
                     grid, lambda p: hull_contains(C, p) and not member(S, p)
                 )
                 assert rg.first(in_S, rank_box) == _reference_first(
@@ -236,15 +235,17 @@ class TestRankGridDifferential:
         rank_box = RankBox(rg.encode(B.lower), rg.encode(B.upper))
         gens = tuple(map(rg.encode, C.generators))
         assert rg.first(lambda y: True, rank_box) == pt("0,0")
-        assert rg.first(rg.hull(gens), rg.span(gens), rank_box) is None
+        assert rg.first(hull(gens, rg.top), span(gens), rank_box) is None
         assert first_grid_separator(B, C, grid) is None
 
-    def test_guard_runs_before_any_enumeration(self):
+    def test_guard_runs_before_any_enumeration(self, monkeypatch):
+        from maxminsep import oracle
+
+        monkeypatch.setattr(oracle, "gcd", lambda *args: pytest.fail("a grid value was numbered"))
         grid = Grid(10, 7)
         corner = Point.constant(7, "0.5")
-        rg = RankGrid(grid, pairs_of(corner))
         with pytest.raises(ResourceLimitError):
-            rg.first(lambda y: pytest.fail("a point was enumerated"), RankBox(rg.encode(corner), rg.encode(corner)))
+            RankGrid(grid, pairs_of(corner))
         with pytest.raises(ResourceLimitError):
             first_grid_separator(Box(corner, corner), GeneratedConvexSet((corner,)), grid)
 
@@ -285,7 +286,7 @@ class TestTwoCornerRule:
     @settings(max_examples=300, deadline=None)
     def test_matches_misses_box(self, case):
         S, rank_box = case
-        in_S = RankGrid(Grid(1, len(S.x0)), ()).semispace(S)
+        in_S = semispace(S)
         assert _misses(in_S, rank_box) == misses_box(S, rank_box)
 
 
