@@ -4,23 +4,21 @@ Subcommands: separate-box, separate-2d, family, check-cond, verify, plot.
 Exit codes: 0 when separated or valid, 2 for a clean negative (not
 separable, condition violated), 1 on any error.  All JSON output is
 byte-deterministic.
+
+Each handler imports only the modules it runs, so a launch loads just
+what its subcommand needs: `family` loads no hull, separation, grid or
+drawing code, and only `verify` loads the certificate checks of
+maxminsep.verify.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 
-from .core import Point, RankBox, leq
-from .convex import box_hull_point
-from .errors import DimensionError, IntersectionError, MaxMinError, ParseError
-from .oracle import Grid, RankGrid, _misses, exact_separator, hull, semispace, span
-from .semispaces import HemispaceDescriptor, semispace_family
-from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE, separate, upper_profile
-from .planar import box_and_semispace, box_one_set
+from .errors import MaxMinError, ParseError
+from .semispaces import semispace_family
 from . import serialize
-from .svg import render_scene
 
 
 def _read(path: str) -> str:
@@ -47,24 +45,13 @@ def _emit(document: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _single_set(inst):
-    if not inst.sets:
-        raise ParseError("the instance defines no generated set")
-    return inst.set_list()[0]
-
-
-def _two_sets(inst):
-    if len(inst.sets) < 2:
-        raise ParseError("two generated sets are required, in document order")
-    first, second = inst.set_list()[:2]
-    return first, second
-
-
 def _cmd_separate_box(args) -> int:
+    from .separation import separate
+
     inst = _load_instance(args.instance)
     if inst.box is None:
         raise ParseError("separate-box needs a box in the instance")
-    gens = _single_set(inst)
+    gens = serialize.single_set(inst)
     fallback = inst.options.fallback and not args.no_fallback
     cert = separate(inst.scale, inst.box, gens, with_fallback=fallback)
     _emit(serialize.certificate_to_dict(cert, inst), args.output)
@@ -72,8 +59,10 @@ def _cmd_separate_box(args) -> int:
 
 
 def _cmd_separate_2d(args) -> int:
+    from .planar import box_and_semispace, box_one_set
+
     inst = _load_instance(args.instance)
-    gens1, gens2 = _two_sets(inst)
+    gens1, gens2 = serialize.two_sets(inst)
     if args.with_semispace:
         cert, S = box_and_semispace(inst.scale, gens1, gens2)
     else:
@@ -94,10 +83,12 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_check_cond(args) -> int:
+    from .separation import NOT_SEPARABLE, separate
+
     inst = _load_instance(args.instance)
     if inst.box is None:
         raise ParseError("check-cond needs a box in the instance")
-    cert = separate(inst.scale, inst.box, _single_set(inst), with_fallback=False)
+    cert = separate(inst.scale, inst.box, serialize.single_set(inst), with_fallback=False)
     witness = cert.witness if cert.outcome == NOT_SEPARABLE else None
     pairs = inst.scale.pairs
     document = {
@@ -108,142 +99,17 @@ def _cmd_check_cond(args) -> int:
     return 0 if witness is None else 2
 
 
-def _check(checks: list, name: str, ok: bool) -> None:
-    checks.append({"check": name, "ok": bool(ok)})
-
-
-def _sweep(checks: list, name: str, point: Point | None) -> None:
-    """Record a check that names its offending point when it fails."""
-    _check(checks, name, point is None)
-    if point is not None:
-        checks[-1]["point"] = serialize.point_to_list(point)
-
-
-def _field(data: dict, key: str):
-    if key not in data:
-        raise ParseError(f"certificate lacks its {key!r} field")
-    return data[key]
-
-
-def _at_dimension(n: int, p: tuple) -> None:
-    """Refuse a certificate point whose dimension is not the instance's."""
-    if len(p) != n:
-        raise DimensionError(f"mixed dimensions: {sorted({len(p), n})}")
-
-
-def _verify_box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
-    if inst.box is None:
-        raise ParseError("certificate instance lacks a box")
-    C = _single_set(inst)
-    outcome = data.get("outcome")
-    if outcome in (SEMISPACE, HEMISPACE):
-        S = serialize.read_descriptor(_field(data, "separator"), table)
-        _at_dimension(inst.dimension, S.x0)
-        hemispace = isinstance(S, HemispaceDescriptor)
-        if hemispace != (outcome == HEMISPACE):
-            carried = HEMISPACE if hemispace else SEMISPACE
-            raise ParseError(f"{outcome} outcome carries a {carried} descriptor")
-    elif outcome == NOT_SEPARABLE:
-        witness = table.point(_field(data, "witness"))
-        _at_dimension(inst.dimension, witness)
-    else:
-        raise ParseError(f"unknown certificate outcome {outcome!r}")
-    scale = table.bind(None if outcome == NOT_SEPARABLE else RankGrid(grid, table.parsed.values()))
-    box = RankBox(*map(table.encode, inst.box))
-    gens = tuple(map(table.encode, C))
-    in_hull = hull(gens, scale.top)
-    if outcome == NOT_SEPARABLE:
-        w = table.encode(witness)
-        profile = upper_profile(box)
-        pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
-        _check(checks, "witness in hull", in_hull(w))
-        _check(checks, "witness dominates box lower bounds", leq(box.lower, w))
-        exceed = [i for i, (a, u) in enumerate(zip(w, box.upper)) if a > u]
-        _check(
-            checks,
-            "witness escapes inside the profile threshold",
-            bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
-        )
-        shared = box_hull_point(box, gens, scale.top)
-        if shared is not None:
-            point = scale.decode(shared)
-            raise IntersectionError(f"box and hull share the point {point}", witness=point)
-        found = exact_separator(box.lower, box.upper, gens, scale.top)
-        x0 = None if found is None else found[0]
-        trace = data.get("trace")
-        if x0 is None and isinstance(trace, list) and any(isinstance(e, dict) and e.get("stage") == 4 for e in trace):
-            # the fallback ran: its extreme hemispace, which misses the box, must fail too
-            M = frozenset(i for i, u in enumerate(box.upper) if u < scale.top)
-            if all(map(semispace(HemispaceDescriptor(box.upper, M)), gens)):
-                x0 = box.upper
-        _sweep(checks, "no grid semispace separates", None if x0 is None else scale.decode(x0))
-        return
-    in_S = semispace(replace(S, x0=table.encode(S.x0)))
-    _check(checks, "set inside separator", all(map(in_S, gens)))
-    _check(checks, "separator misses box", _misses(in_S, box))
-    _sweep(
-        checks,
-        "grid hull points inside separator",
-        scale.first(lambda y: not in_S(y) and in_hull(y), span(gens)),
-    )
-    if not hemispace:
-        _sweep(checks, "no grid box point inside separator", scale.first(in_S, box))
-
-
-def _verify_two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
-    C1, C2 = _two_sets(inst)
-    boxed = serialize.json_int(data.get("boxed_set"), "boxed_set")
-    if boxed not in (1, 2):
-        raise ParseError("two-set certificate needs boxed_set 1 or 2")
-    corners = serialize.read_box(_field(data, "box"), table)
-    _at_dimension(inst.dimension, corners[0])
-    S = None
-    if data.get("semispace") is not None:
-        S = serialize.read_descriptor(data["semispace"], table)
-        _at_dimension(inst.dimension, S.x0)
-        if isinstance(S, HemispaceDescriptor):
-            raise ParseError("two-set certificates carry plain semispaces")
-    rg = table.bind(RankGrid(grid, table.parsed.values()))
-    box = RankBox(*map(table.encode, corners))
-    inner, other = (tuple(map(table.encode, gens)) for gens in ((C1, C2) if boxed == 1 else (C2, C1)))
-    bb = span(inner)
-    _check(checks, "box contains its set", leq(box.lower, bb.lower) and leq(bb.upper, box.upper))
-    _check(checks, "box misses the other hull", box_hull_point(box, other, rg.top) is None)
-    _sweep(
-        checks,
-        "no grid point of the other hull in the box",
-        rg.first(hull(other, rg.top), span(other), box),
-    )
-    if S is not None:
-        in_S = semispace(replace(S, x0=table.encode(S.x0)))
-        _check(checks, "other set inside semispace", all(map(in_S, other)))
-        _check(checks, "semispace misses the box", _misses(in_S, box))
-        _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box))
-
-
 def _cmd_verify(args) -> int:
-    """Read a certificate into one ScalarTable and check it on its ranks."""
-    data = _load_certificate(args.certificate)
-    if "instance" not in data:
-        raise ParseError("certificate files carry their instance")
-    table = serialize.ScalarTable()
-    inst = serialize.read_instance(data["instance"], table)
-    d = args.grid if args.grid else inst.options.grid
-    grid = Grid(d, inst.dimension)
-    checks: list[dict] = []
-    kind = data.get("kind")
-    if kind == "box":
-        _verify_box_certificate(data, inst, table, grid, checks)
-    elif kind == "two-set":
-        _verify_two_set_certificate(data, inst, table, grid, checks)
-    else:
-        raise ParseError(f"unknown certificate kind {kind!r}")
-    valid = all(c["ok"] for c in checks)
-    _emit({"valid": valid, "grid": d, "checks": checks}, None)
-    return 0 if valid else 1
+    from .verify import check_certificate
+
+    report = check_certificate(_load_certificate(args.certificate), args.grid)
+    _emit(report, None)
+    return 0 if report["valid"] else 1
 
 
 def _cmd_plot(args) -> int:
+    from .svg import render_scene
+
     inst = serialize.parse_instance(_read(args.instance))
     if inst.dimension != 2:
         raise ParseError("plot renders planar instances only")
@@ -254,16 +120,16 @@ def _cmd_plot(args) -> int:
         for key in ("separator", "semispace"):
             if data.get(key) is not None:
                 separator = serialize.descriptor_from_dict(data[key])
-                _at_dimension(2, separator.x0.coords)
+                serialize.at_dimension(2, separator.x0.coords)
         if data.get("box") is not None:
             cert_box = serialize.box_from_dict(data["box"])
-            _at_dimension(2, cert_box.lower.coords)
+            serialize.at_dimension(2, cert_box.lower.coords)
     scene = render_scene(
         inst.box,
         inst.sets,
         separator=separator,
         certificate_box=cert_box,
-        grid_denominator=args.grid if args.grid else inst.options.grid,
+        grid_denominator=inst.options.grid if args.grid is None else args.grid,
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(scene)
@@ -309,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="re-check a certificate: grid sweeps, and an exact check of a not-separable claim"
     )
     p.add_argument("-i", "--certificate", required=True)
-    p.add_argument("--grid", type=int, default=0, help="grid denominator (default: instance option)")
+    p.add_argument("--grid", type=int, help="grid denominator (default: instance option)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("plot", help="render a planar instance to SVG")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-c", "--certificate")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--grid", type=int, default=0, help="hull sampling denominator")
+    p.add_argument("--grid", type=int, help="hull sampling denominator (default: instance option)")
     p.set_defaults(handler=_cmd_plot)
 
     return parser

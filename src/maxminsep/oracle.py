@@ -64,10 +64,13 @@ class Grid:
         return tuple(Fraction(k, d) for k in range(d + 1))
 
     def guard(self) -> None:
-        if self.size > MAX_GRID_POINTS:
-            raise ResourceLimitError(
-                f"grid holds {self.size} points, above the {MAX_GRID_POINTS} bound"
-            )
+        size = self.size
+        if size > MAX_GRID_POINTS:
+            try:
+                count = str(size)
+            except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+                count = f"({self.denominator}+1)^{self.dimension}"
+            raise ResourceLimitError(f"grid holds {count} points, above the {MAX_GRID_POINTS} bound")
 
     def points(self) -> Iterator[Point]:
         """All grid points in lexicographic coordinate order."""

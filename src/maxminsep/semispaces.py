@@ -23,10 +23,12 @@ and descriptors in as they are, with top 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .core import ONE, Point, RankBox, Ranks, Scale, check_same_dim, descending_order
-from .convex import Box, GeneratedConvexSet
+
+if TYPE_CHECKING:  # annotations only
+    from .convex import Box, GeneratedConvexSet
 
 
 @dataclass(frozen=True)

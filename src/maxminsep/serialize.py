@@ -21,14 +21,16 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import Point, RankBox, Ranks, Scale, as_scalar
-from .convex import Box, GeneratedConvexSet
 from .errors import DimensionError, ParseError
 from .semispaces import Descriptor, HemispaceDescriptor, SemispaceDescriptor, decode_descriptor
-from .separation import SeparationCertificate, TraceEntry
-from .planar import PlanarBoxCertificate
+
+if TYPE_CHECKING:  # for annotations; the Fraction readers import convex when called
+    from .convex import Box, GeneratedConvexSet
+    from .planar import PlanarBoxCertificate
+    from .separation import SeparationCertificate, TraceEntry
 
 
 # Fraction() builds the whole number a string spells out, so "1e-20000"
@@ -167,6 +169,8 @@ def box_to_dict(B: Box | RankBox, fmt: Callable = point_to_list) -> dict:
 
 
 def box_from_dict(data) -> Box:
+    from .convex import Box
+
     table = ScalarTable()
     lower, upper = read_box(data, table)
     return Box(table.decode(lower), table.decode(upper))
@@ -187,6 +191,8 @@ def set_to_list(C: GeneratedConvexSet) -> list[list[str]]:
 
 
 def set_from_list(data) -> GeneratedConvexSet:
+    from .convex import GeneratedConvexSet
+
     table = ScalarTable()
     return GeneratedConvexSet(tuple(map(table.decode, _read_set(data, table))))
 
@@ -271,6 +277,27 @@ class RankInstance(NamedTuple):
         return list(self.sets.values())
 
 
+def single_set(inst: Instance | RankInstance):
+    """The instance's first generated set."""
+    if not inst.sets:
+        raise ParseError("the instance defines no generated set")
+    return inst.set_list()[0]
+
+
+def two_sets(inst: Instance | RankInstance):
+    """The instance's first two generated sets, in document order."""
+    if len(inst.sets) < 2:
+        raise ParseError("two generated sets are required, in document order")
+    first, second = inst.set_list()[:2]
+    return first, second
+
+
+def at_dimension(n: int, p: tuple) -> None:
+    """Refuse a certificate point whose dimension is not the instance's."""
+    if len(p) != n:
+        raise DimensionError(f"mixed dimensions: {sorted({len(p), n})}")
+
+
 def read_instance(data, table: ScalarTable) -> Instance:
     """Validate an instance document and parse its scalars into `table`.
     The result holds every point as its tuple of scalar strings, a box as
@@ -313,6 +340,8 @@ def read_instance(data, table: ScalarTable) -> Instance:
 
 
 def instance_from_dict(data) -> Instance:
+    from .convex import Box, GeneratedConvexSet
+
     table = ScalarTable()
     raw = read_instance(data, table)
     point = table.decode

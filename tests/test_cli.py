@@ -570,6 +570,34 @@ class TestVerify:
             1, "", "error: grid denominator must be a positive integer\n"
         )
 
+    @pytest.mark.parametrize("instance, extra", [(BLOCKED, ["--no-fallback"]), (SEPARABLE, [])])
+    def test_grid_zero_is_refused_not_read_as_the_instance_grid(self, tmp_path, capsys, instance, extra):
+        _, cert_path = self.emit_certificate(tmp_path, capsys, instance, extra=extra)
+        assert run(capsys, ["verify", "-i", str(cert_path), "--grid", "0"]) == (
+            1, "", "error: grid denominator must be a positive integer\n"
+        )
+
+    def test_grid_too_large_to_print_is_refused_by_its_size(self, tmp_path, capsys):
+        # (10**11 + 1) ** 400 and (10**2200 + 1) ** 2 have more digits than
+        # Python turns into a string
+        n = 400
+        instance = {
+            "dimension": n,
+            "box": {"lower": ["0.2"] * n, "upper": ["0.5"] * n},
+            "sets": {"C": [["0.1"] * (n - 1) + ["0.8"]]},
+            "options": {"grid": 10**11},
+        }
+        code, cert_path = self.emit_certificate(tmp_path, capsys, instance)
+        assert code == 0
+        assert run(capsys, ["verify", "-i", str(cert_path)]) == (
+            1, "", "error: grid holds (100000000000+1)^400 points, above the 2000000 bound\n"
+        )
+        cert_path = tmp_path / "two-set.json"
+        assert run(capsys, ["separate-2d", "-i", write_instance(tmp_path, TWO_SETS), "-o", str(cert_path)])[0] == 0
+        assert run(capsys, ["verify", "-i", str(cert_path), "--grid", str(10**2200)]) == (
+            1, "", f"error: grid holds ({10**2200}+1)^2 points, above the 2000000 bound\n"
+        )
+
     def test_huge_certificate_grid_is_refused_before_it_is_numbered(self, tmp_path, capsys, monkeypatch):
         from maxminsep import oracle
 
@@ -695,6 +723,13 @@ class TestPlot:
         out_path = tmp_path / "x.svg"
         argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(out_path)]
         assert run(capsys, argv) == (1, "", f"error: mixed dimensions: {dims}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_must_be_positive(self, tmp_path, capsys, grid):
+        out_path = tmp_path / "x.svg"
+        argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-o", str(out_path), "--grid", grid]
+        assert run(capsys, argv) == (1, "", "error: grid denominator must be a positive integer\n")
         assert not out_path.exists()
 
     def test_rejects_non_planar_instances(self, tmp_path, capsys):
