@@ -26,7 +26,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_instance(path: str) -> serialize.RankInstance:
+def _load_instance(path: str) -> serialize.Instance:
     return serialize.read_rank_instance(_read(path))
 
 
@@ -90,10 +90,9 @@ def _cmd_check_cond(args) -> int:
         raise ParseError("check-cond needs a box in the instance")
     cert = separate(inst.scale, inst.box, serialize.single_set(inst), with_fallback=False)
     witness = cert.witness if cert.outcome == NOT_SEPARABLE else None
-    pairs = inst.scale.pairs
     document = {
         "holds": witness is None,
-        "witness": [serialize.format_scalar(*pairs[r]) for r in witness] if witness is not None else None,
+        "witness": serialize.formatter(inst)(witness) if witness is not None else None,
     }
     _emit(document, None)
     return 0 if witness is None else 2

@@ -9,10 +9,13 @@ Coordinate indices are 1-based on the wire.
 Reading a document goes through a ScalarTable: every point is validated
 as a list of strings, and each distinct string is read once into its
 normalised (numerator, denominator) int pair by scalar_pair, with every
-check of parse_scalar.  The table then either decodes the points to
-Fraction (instance_from_dict and the other *_from_* functions) or numbers
-the pairs on a Scale and encodes the points to ranks (read_rank_instance,
-which the CLI uses).  Emitting a certificate formats each rank once.
+check of parse_scalar.  read_instance gives one Instance record whose
+points are those strings.  The table then either decodes the points to
+Fraction (instance_from_dict and the other *_from_* functions), or on_ranks
+numbers the pairs on a Scale and gives the same record on ranks, with the
+Scale in its scale field: read_rank_instance does this for the separation
+subcommands, and verify does it on the grid's RankGrid.  Emitting a
+certificate formats each rank once.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from .core import Point, RankBox, Ranks, Scale, as_scalar
 from .errors import DimensionError, ParseError
@@ -110,9 +113,9 @@ class ScalarTable:
     """The scalar strings of one document, each distinct string read once.
 
     Only JSON strings are looked up, so a number or a list in place of a
-    scalar reaches scalar_pair and is refused there.  bind numbers the
-    (numerator, denominator) pairs on a given Scale, or on one of their
-    own; encode then maps a point's strings to ranks.
+    scalar reaches scalar_pair and is refused there.  on_ranks numbers the
+    (numerator, denominator) pairs into code; encode then maps a point's
+    strings to ranks.
     """
 
     def __init__(self) -> None:
@@ -128,12 +131,6 @@ class ScalarTable:
             if not (isinstance(text, str) and text in parsed):
                 parsed[text] = scalar_pair(text)
         return tuple(data)
-
-    def bind(self, scale: Scale | None = None) -> Scale:
-        scale = scale or Scale(pairs=self.parsed.values())
-        rank = scale.rank
-        self.code = {text: rank[nd] for text, nd in self.parsed.items()}
-        return scale
 
     def encode(self, strings: tuple[str, ...]) -> Ranks:
         return tuple(map(self.code.__getitem__, strings))
@@ -210,7 +207,8 @@ def descriptor_to_dict(S: Descriptor, fmt: Callable = point_to_list) -> dict:
 
 
 def read_descriptor(data, table: ScalarTable) -> Descriptor:
-    """Validate a descriptor document; its x0 stays a tuple of strings."""
+    """Validate a descriptor document, which carries only the keys of its
+    type (M for a hemispace S0, i for Si); its x0 stays a tuple of strings."""
     if not isinstance(data, dict) or "type" not in data or "x0" not in data:
         raise ParseError(f"descriptor must carry type and x0, got {data!r}")
     x0 = table.point(data["x0"])
@@ -220,17 +218,22 @@ def read_descriptor(data, table: ScalarTable) -> Descriptor:
         if not isinstance(members, list):
             raise ParseError("M must be a list of 1-based coordinate indices")
         try:
-            return HemispaceDescriptor(x0, frozenset(json_int(i, "M entry") - 1 for i in members))
+            S = HemispaceDescriptor(x0, frozenset(json_int(i, "M entry") - 1 for i in members))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    if kind == "S0":
-        return SemispaceDescriptor(x0, None)
-    if kind == "Si":
+    elif kind == "S0":
+        S = SemispaceDescriptor(x0, None)
+    elif kind == "Si":
         original = json_int(data.get("i"), "the 1-based field i of an Si descriptor") - 1
         if not 0 <= original < len(x0):
             raise ParseError(f"coordinate index {data['i']} outside 1..{len(x0)}")
-        return SemispaceDescriptor(x0, original)
-    raise ParseError(f"unknown descriptor type {kind!r}")
+        S = SemispaceDescriptor(x0, original)
+    else:
+        raise ParseError(f"unknown descriptor type {kind!r}")
+    unknown = set(data) - {"type", "x0", "M" if kind == "S0" else "i"}
+    if unknown:
+        raise ParseError(f"unknown {kind} descriptor fields: {sorted(unknown)}")
+    return S
 
 
 def descriptor_from_dict(data) -> Descriptor:
@@ -249,43 +252,29 @@ class Options:
 @dataclass(frozen=True)
 class Instance:
     """One problem instance: a cube dimension, an optional box, named
-    generated sets in document order, and options."""
+    generated sets in document order, and options.  A point is a tuple of
+    scalar strings (read_instance), a Fraction Point (instance_from_dict) or
+    a tuple of ranks of `scale` (on_ranks); scale is None unless on ranks."""
 
     dimension: int
     box: Box | None
     sets: dict[str, GeneratedConvexSet] = field(default_factory=dict)
     options: Options = Options()
+    scale: Scale | None = None
 
-    def set_list(self) -> list[GeneratedConvexSet]:
+    def set_list(self) -> list:
         return list(self.sets.values())
 
 
-class RankInstance(NamedTuple):
-    """An instance on the ranks of its own Scale: the box as a RankBox and
-    each generated set as its tuple of rank points.  The Scale holds the
-    instance's scalars and no others, and lives as long as the instance.
-    A NamedTuple: cheaper than a dataclass to create at import, which every
-    CLI launch pays for."""
-
-    dimension: int
-    scale: Scale
-    box: RankBox | None
-    sets: dict[str, tuple[Ranks, ...]]
-    options: Options
-
-    def set_list(self) -> list[tuple[Ranks, ...]]:
-        return list(self.sets.values())
-
-
-def single_set(inst: Instance | RankInstance):
-    """The instance's first generated set."""
+def single_set(inst: Instance):
+    """The instance's first generated set; a point is strings, a Fraction Point or ranks."""
     if not inst.sets:
         raise ParseError("the instance defines no generated set")
     return inst.set_list()[0]
 
 
-def two_sets(inst: Instance | RankInstance):
-    """The instance's first two generated sets, in document order."""
+def two_sets(inst: Instance):
+    """The instance's first two generated sets, in document order, points as in single_set."""
     if len(inst.sets) < 2:
         raise ParseError("two generated sets are required, in document order")
     first, second = inst.set_list()[:2]
@@ -353,38 +342,42 @@ def instance_from_dict(data) -> Instance:
     )
 
 
-def read_rank_instance(text: str) -> RankInstance:
+def on_ranks(inst: Instance, table: ScalarTable, scale: Scale | None = None) -> Instance:
+    """The instance read into `table`, on ranks: the table's pairs are
+    numbered on `scale` (a Scale of their own when None), and the box and
+    the sets are encoded."""
+    scale = scale or Scale(pairs=table.parsed.values())
+    rank = scale.rank
+    table.code = {text: rank[nd] for text, nd in table.parsed.items()}
+    code = table.encode
+    box = None if inst.box is None else RankBox(code(inst.box[0]), code(inst.box[1]))
+    sets = {name: tuple(map(code, gens)) for name, gens in inst.sets.items()}
+    return Instance(inst.dimension, box, sets, inst.options, scale)
+
+
+def read_rank_instance(text: str) -> Instance:
     """Parse an instance document straight to ranks, on a Scale of its own
     scalars."""
     table = ScalarTable()
-    raw = read_instance(loads(text), table)
-    scale = table.bind()
-    code = table.encode
-    return RankInstance(
-        dimension=raw.dimension,
-        scale=scale,
-        box=None if raw.box is None else RankBox(code(raw.box[0]), code(raw.box[1])),
-        sets={name: tuple(map(code, gens)) for name, gens in raw.sets.items()},
-        options=raw.options,
-    )
+    return on_ranks(read_instance(loads(text), table), table)
 
 
-def _formatter(inst: Instance | RankInstance) -> Callable:
+def formatter(inst: Instance) -> Callable:
     """Point formatting for an instance: through a table of the canonical
     strings of its ranks, or coordinate by coordinate for Fraction points."""
-    if isinstance(inst, RankInstance):
+    if inst.scale is not None:
         name = [format_scalar(p, q) for p, q in inst.scale.pairs].__getitem__
         return lambda p: list(map(name, p))
     return point_to_list
 
 
-def instance_to_dict(inst: Instance | RankInstance, fmt: Callable | None = None) -> dict:
-    fmt = fmt or _formatter(inst)
-    ranked = isinstance(inst, RankInstance)
+def instance_to_dict(inst: Instance, fmt: Callable | None = None) -> dict:
+    """The document of an instance whose points are Fraction Points or ranks."""
+    fmt = fmt or formatter(inst)
     return {
         "dimension": inst.dimension,
         "box": box_to_dict(inst.box, fmt) if inst.box is not None else None,
-        "sets": {name: [fmt(v) for v in (C if ranked else C.generators)] for name, C in inst.sets.items()},
+        "sets": {name: [fmt(v) for v in (C if inst.scale else C.generators)] for name, C in inst.sets.items()},
         "options": {"grid": inst.options.grid, "fallback": inst.options.fallback},
     }
 
@@ -423,10 +416,10 @@ def _trace_entry_to_dict(entry: TraceEntry, fmt: Callable) -> dict:
     }
 
 
-def certificate_to_dict(cert: SeparationCertificate, inst: Instance | RankInstance) -> dict:
-    """A box certificate; on a RankInstance its points are ranks of the
-    instance's Scale."""
-    fmt = _formatter(inst)
+def certificate_to_dict(cert: SeparationCertificate, inst: Instance) -> dict:
+    """A box certificate of an instance whose points are Fraction Points or
+    ranks; on ranks, its own points are ranks of the instance's Scale."""
+    fmt = formatter(inst)
     return {
         "kind": "box",
         "instance": instance_to_dict(inst, fmt),
@@ -440,12 +433,12 @@ def certificate_to_dict(cert: SeparationCertificate, inst: Instance | RankInstan
 
 def planar_certificate_to_dict(
     cert: PlanarBoxCertificate,
-    inst: Instance | RankInstance,
+    inst: Instance,
     semispace: SemispaceDescriptor | None = None,
 ) -> dict:
-    """A two-set certificate; on a RankInstance its points are ranks of the
-    instance's Scale."""
-    fmt = _formatter(inst)
+    """A two-set certificate of an instance whose points are Fraction Points
+    or ranks; on ranks, its own points are ranks of the instance's Scale."""
+    fmt = formatter(inst)
     return {
         "kind": "two-set",
         "instance": instance_to_dict(inst, fmt),

@@ -1,8 +1,11 @@
 """The checks of `maxminsep verify`: a certificate re-checked on ranks.
 
-verify reads the certificate's instance and its separator, witness or box
-into one ScalarTable, numbers those scalars together with the values of the
-referee's grid (see oracle.RankGrid), and runs every check on the ranks.
+verify reads the certificate's instance (serialize.read_instance) and its
+separator, witness or box into one ScalarTable.  serialize.on_ranks then
+numbers those scalars together with the values of the referee's grid (see
+oracle.RankGrid), or on their own Scale for a not-separable claim, and gives
+the instance on ranks, as the separation subcommands get theirs.  Every
+check runs on the ranks.
 Only the verify subcommand loads this module.
 """
 from __future__ import annotations
@@ -38,7 +41,7 @@ def _field(data: dict, key: str):
 def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
     if inst.box is None:
         raise ParseError("certificate instance lacks a box")
-    C = serialize.single_set(inst)
+    serialize.single_set(inst)  # refused before the outcome is read
     outcome = data.get("outcome")
     if outcome in (SEMISPACE, HEMISPACE):
         S = serialize.read_descriptor(_field(data, "separator"), table)
@@ -52,9 +55,9 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
         serialize.at_dimension(inst.dimension, witness)
     else:
         raise ParseError(f"unknown certificate outcome {outcome!r}")
-    scale = table.bind(None if outcome == NOT_SEPARABLE else RankGrid(grid, table.parsed.values()))
-    box = RankBox(*map(table.encode, inst.box))
-    gens = tuple(map(table.encode, C))
+    on_grid = outcome != NOT_SEPARABLE
+    inst = serialize.on_ranks(inst, table, RankGrid(grid, table.parsed.values()) if on_grid else None)
+    scale, box, gens = inst.scale, inst.box, serialize.single_set(inst)
     in_hull = hull(gens, scale.top)
     if outcome == NOT_SEPARABLE:
         w = table.encode(witness)
@@ -95,7 +98,7 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
 
 
 def _two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
-    C1, C2 = serialize.two_sets(inst)
+    serialize.two_sets(inst)  # refused before boxed_set is read
     boxed = serialize.json_int(data.get("boxed_set"), "boxed_set")
     if boxed not in (1, 2):
         raise ParseError("two-set certificate needs boxed_set 1 or 2")
@@ -107,9 +110,10 @@ def _two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid
         serialize.at_dimension(inst.dimension, S.x0)
         if isinstance(S, HemispaceDescriptor):
             raise ParseError("two-set certificates carry plain semispaces")
-    rg = table.bind(RankGrid(grid, table.parsed.values()))
-    box = RankBox(*map(table.encode, corners))
-    inner, other = (tuple(map(table.encode, gens)) for gens in ((C1, C2) if boxed == 1 else (C2, C1)))
+    inst = serialize.on_ranks(inst, table, RankGrid(grid, table.parsed.values()))
+    rg, box = inst.scale, RankBox(*map(table.encode, corners))
+    C1, C2 = serialize.two_sets(inst)
+    inner, other = (C1, C2) if boxed == 1 else (C2, C1)
     bb = span(inner)
     _check(checks, "box contains its set", leq(box.lower, bb.lower) and leq(bb.upper, box.upper))
     _check(checks, "box misses the other hull", box_hull_point(box, other, rg.top) is None)

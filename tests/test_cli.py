@@ -641,6 +641,12 @@ class TestVerify:
         path = write_instance(tmp_path, certificate, "cert.json")
         assert run(capsys, ["verify", "-i", path]) == (1, "", f"error: {error}\n")
 
+    def test_descriptor_key_of_another_type_is_refused(self, tmp_path, capsys):
+        # an S0 separator read as the upper type would drop its i
+        certificate = dict(BOX_CERT, separator={"type": "S0", "x0": ["0.8", "0.5"], "i": 2})
+        path = write_instance(tmp_path, certificate, "cert.json")
+        assert run(capsys, ["verify", "-i", path]) == (1, "", "error: unknown S0 descriptor fields: ['i']\n")
+
     def test_referee_does_not_trust_misses_box(self, tmp_path, capsys, monkeypatch):
         # a library whose misses_box skips coordinate 1 for the upper type
         # would pass this separator: the box point (0.15, 0.1) lies in it,
@@ -723,6 +729,15 @@ class TestPlot:
         out_path = tmp_path / "x.svg"
         argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(out_path)]
         assert run(capsys, argv) == (1, "", f"error: mixed dimensions: {dims}\n")
+        assert not out_path.exists()
+
+    def test_descriptor_key_of_another_type_is_refused(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        separator = {"type": "Si", "x0": ["0.8", "0.5"], "i": 1, "M": [1], "extra": 1}
+        cert_path.write_text(json.dumps({"separator": separator}), encoding="utf-8")
+        out_path = tmp_path / "x.svg"
+        argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(out_path)]
+        assert run(capsys, argv) == (1, "", "error: unknown Si descriptor fields: ['M', 'extra']\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("grid", ["0", "-3"])

@@ -251,6 +251,9 @@ class TestDescriptors:
             {"type": "S0", "x0": ["0.5"], "M": [True]},
             {"type": "S0", "x0": ["0.5"], "M": [1.0]},
             {"type": "S0", "x0": ["0.5"], "M": ["1"]},
+            {"type": "Si", "x0": ["0.5"], "i": 1, "M": [1]},
+            {"type": "Si", "x0": ["0.5"], "i": 1, "extra": 1},
+            {"type": "S0", "x0": ["0.5"], "i": 1},
         ],
     )
     def test_malformed_descriptors(self, bad):
