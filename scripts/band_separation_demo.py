@@ -63,7 +63,8 @@ def showcase(outdir: Path) -> None:
         cert = separate_box(B, C)
         inst = _instance(B, C, grid=10)
         path = outdir / f"{name}.json"
-        path.write_text(serialize.dumps(serialize.certificate_to_dict(cert, inst)))
+        doc = serialize.certificate_to_dict(cert, inst)
+        path.write_text(serialize.dumps(doc))
         if cert.outcome == SEMISPACE:
             ok = set_in_semispace(C, cert.separator) is None and semispace_avoids_box(
                 cert.separator, B
@@ -75,7 +76,7 @@ def showcase(outdir: Path) -> None:
         print(f"{name}: outcome={cert.outcome} oracle_calls={cert.oracle_calls} "
               f"verified={ok} -> {path}")
         scene = outdir / f"{name}.svg"
-        scene.write_text(render_scene(B, {"C": C}, separator=cert.separator))
+        scene.write_text(render_scene(doc["instance"], doc, grid=12))
         print(f"{name}: scene -> {scene}")
 
 

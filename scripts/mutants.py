@@ -183,6 +183,54 @@ MUTANTS = (
             "tests/test_cli.py::TestPlot::test_descriptor_key_of_another_type_is_refused",
         ),
     ),
+    # the library code the referee still shares: each is killed by worked
+    # examples and differential tests, not only by byte-golden ones
+    Mutant(
+        "membership-threshold-inclusive", "semispaces.py",
+        "    return lambda x: x[o] < tau or any(", "    return lambda x: x[o] <= tau or any(",
+        "a coordinate semispace holds its own defining point",
+        (
+            "tests/test_semispaces.py::TestDescriptor::test_defining_point_is_never_a_member",
+            "tests/test_cli.py::TestVerify::test_false_negative_refuted_by_the_recorded_hemispace_stage",
+        ),
+    ),
+    Mutant(
+        "upper-profile-strict-threshold", "separation.py",
+        "if ups[p - 1] >= prefix_max[p - 1])", "if ups[p - 1] > prefix_max[p - 1])",
+        "the box profile threshold skips a position whose upper bound ties the lower bounds before it",
+        ("tests/test_separation.py::TestBoxProfile::test_point_box_threshold_is_leading_block",),
+    ),
+    Mutant(
+        "greatest-under-skips-first-generator", "convex.py",
+        "    if top not in lams:\n", "    if top not in lams[1:]:\n",
+        "a hull point that only the first generator's full coefficient reaches is missed",
+        (
+            "tests/test_convex.py::TestHullMembership::test_worked_example",
+            "tests/test_convex.py::TestGreatestBelow::test_worked_example",
+        ),
+    ),
+    # the scene drawing and the JSON boundary
+    Mutant(
+        "scene-hull-test-negated", "svg.py",
+        "            if in_hull(gens, p, top):", "            if not in_hull(gens, p, top):",
+        "plot samples the grid points outside each hull",
+        ("tests/test_plot_golden.py",),
+    ),
+    Mutant(
+        "scene-certificate-box-corners-swapped", "svg.py",
+        "        lower, upper = map(table.encode, corners)", "        upper, lower = map(table.encode, corners)",
+        "plot draws no certificate box",
+        ("tests/test_plot_golden.py",),
+    ),
+    Mutant(
+        "loads-recursion-uncaught", "serialize.py",
+        "    except RecursionError:\n        raise ParseError(\"invalid JSON: nested too deeply\") from None\n", "",
+        "a document nested past the recursion limit escapes as a RecursionError",
+        (
+            "tests/test_serialize.py::TestInstances::test_hostile_json_is_a_parse_error",
+            "tests/test_cli.py::TestHostileJson",
+        ),
+    ),
 )
 
 # pytest imports this plugin before it applies pythonpath, so the check runs

@@ -57,11 +57,10 @@ def worked_pair(outdir: Path) -> None:
     cert, S = separate_box_semispace(C1, C2)
     inst = serialize.Instance(dimension=2, box=None, sets={"C1": C1, "C2": C2})
     path = outdir / "planar_pair.json"
-    path.write_text(serialize.dumps(serialize.planar_certificate_to_dict(cert, inst, S)))
+    doc = serialize.planar_certificate_to_dict(cert, inst, S)
+    path.write_text(serialize.dumps(doc))
     scene = outdir / "planar_pair.svg"
-    scene.write_text(
-        render_scene(None, inst.sets, separator=S, certificate_box=cert.box)
-    )
+    scene.write_text(render_scene(doc["instance"], doc, grid=12))
     corners = serialize.box_to_dict(cert.box)
     print(f"worked pair: boxed_set={cert.boxed_set} box={corners['lower']}..{corners['upper']} "
           f"-> {path}, {scene}")

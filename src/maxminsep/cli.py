@@ -109,27 +109,9 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     from .svg import render_scene
 
-    inst = serialize.parse_instance(_read(args.instance))
-    if inst.dimension != 2:
-        raise ParseError("plot renders planar instances only")
-    separator = None
-    cert_box = None
-    if args.certificate:
-        data = _load_certificate(args.certificate)
-        for key in ("separator", "semispace"):
-            if data.get(key) is not None:
-                separator = serialize.descriptor_from_dict(data[key])
-                serialize.at_dimension(2, separator.x0.coords)
-        if data.get("box") is not None:
-            cert_box = serialize.box_from_dict(data["box"])
-            serialize.at_dimension(2, cert_box.lower.coords)
-    scene = render_scene(
-        inst.box,
-        inst.sets,
-        separator=separator,
-        certificate_box=cert_box,
-        grid_denominator=inst.options.grid if args.grid is None else args.grid,
-    )
+    instance = serialize.loads(_read(args.instance))
+    certificate = _load_certificate(args.certificate) if args.certificate else None
+    scene = render_scene(instance, certificate, args.grid)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(scene)
     sys.stdout.write(f"wrote {args.output}\n")

@@ -11,11 +11,11 @@ as a list of strings, and each distinct string is read once into its
 normalised (numerator, denominator) int pair by scalar_pair, with every
 check of parse_scalar.  read_instance gives one Instance record whose
 points are those strings.  The table then either decodes the points to
-Fraction (instance_from_dict and the other *_from_* functions), or on_ranks
-numbers the pairs on a Scale and gives the same record on ranks, with the
-Scale in its scale field: read_rank_instance does this for the separation
-subcommands, and verify does it on the grid's RankGrid.  Emitting a
-certificate formats each rank once.
+Fraction (instance_from_dict and the other *_from_* functions, which no
+subcommand calls), or on_ranks numbers the pairs on a Scale and gives the
+same record on ranks, with the Scale in its scale field: read_rank_instance
+does this for the separation subcommands, verify and plot on a RankGrid.
+Emitting a certificate formats each rank once.
 """
 from __future__ import annotations
 
@@ -395,11 +395,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def loads(text: str):
     """Parse JSON; an object that repeats a key is refused, not resolved to
-    the key's last value."""
+    the key's last value, and so is nesting deeper than the recursion limit."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than int() converts
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def parse_instance(text: str) -> Instance:

@@ -747,6 +747,15 @@ class TestPlot:
         assert run(capsys, argv) == (1, "", "error: grid denominator must be a positive integer\n")
         assert not out_path.exists()
 
+    def test_certificate_file_is_read_before_the_instance_is_checked(self, tmp_path, capsys):
+        # both documents are loaded before either is read, so a missing
+        # certificate is reported before the instance's bad dimension
+        inst = write_instance(tmp_path, dict(SEPARABLE, dimension=0))
+        missing = tmp_path / "missing.json"
+        argv = ["plot", "-i", inst, "-c", str(missing), "-o", str(tmp_path / "x.svg")]
+        assert run(capsys, argv) == (1, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+        assert run(capsys, argv[:3] + argv[5:]) == (1, "", "error: dimension must be positive\n")
+
     def test_rejects_non_planar_instances(self, tmp_path, capsys):
         inst = write_instance(
             tmp_path,
@@ -755,6 +764,33 @@ class TestPlot:
         code, _, err = run(capsys, ["plot", "-i", inst, "-o", str(tmp_path / "x.svg")])
         assert code == 1
         assert "error:" in err
+
+
+class TestHostileJson:
+    """Nesting past the recursion limit and integers past int()'s digit
+    limit are refused as invalid JSON, exit 1, by every reading subcommand."""
+
+    DEEP = "[" * 100_000
+    LONG = json.dumps(SEPARABLE).replace('"grid": 6', '"grid": ' + "9" * 5000)
+    LONG_ERROR = (
+        "error: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+
+    @pytest.mark.parametrize("command", ["separate-box", "verify", "plot"])
+    @pytest.mark.parametrize("kind", ["deep", "long"])
+    def test_refused_with_one_error_line(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "doc.json"
+        path.write_text(self.DEEP if kind == "deep" else self.LONG, encoding="utf-8")
+        argv = [command, "-i", str(path)] + (["-o", str(tmp_path / "x.svg")] if command == "plot" else [])
+        error = "error: invalid JSON: nested too deeply\n" if kind == "deep" else self.LONG_ERROR
+        assert run(capsys, argv) == (1, "", error)
+
+    def test_deep_certificate_of_plot(self, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(self.DEEP, encoding="utf-8")
+        argv = ["plot", "-i", write_instance(tmp_path, SEPARABLE), "-c", str(cert_path), "-o", str(tmp_path / "x.svg")]
+        assert run(capsys, argv) == (1, "", "error: invalid JSON: nested too deeply\n")
 
 
 class TestRepeatedKeys:

@@ -66,6 +66,17 @@ def test_separate_box_loads_no_planar_or_drawing_code(tmp_path):
     assert loaded.isdisjoint({"planar", "svg"})
 
 
+def test_plot_loads_no_separation_planar_or_verify_code(tmp_path):
+    instance = {
+        "dimension": 2,
+        "box": {"lower": ["0.2", "0.2"], "upper": ["0.8", "0.5"]},
+        "sets": {"C": [["0.1", "0.8"]]},
+    }
+    loaded = loaded_modules("plot", "-i", write(tmp_path, instance), "-o", str(tmp_path / "scene.svg"))
+    assert {"svg", "oracle", "convex"} <= loaded
+    assert loaded.isdisjoint({"separation", "planar", "verify"})
+
+
 def test_importing_the_package_loads_no_module():
     probe = (
         "import sys, maxminsep; "

@@ -25,6 +25,7 @@ from maxminsep.serialize import (
     format_scalar,
     instance_from_dict,
     instance_to_dict,
+    loads,
     parse_instance,
     parse_scalar,
     planar_certificate_to_dict,
@@ -347,6 +348,20 @@ class TestInstances:
         # refused even where both values agree, at any depth
         with pytest.raises(ParseError, match=f"repeated key '{key}'"):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000, "invalid JSON: nested too deeply"),
+            ('{"grid": ' + "9" * 5000 + "}", "invalid JSON: Exceeds the limit (4300 digits) for integer string"),
+        ],
+        ids=["deep-nesting", "oversized-integer"],
+    )
+    def test_hostile_json_is_a_parse_error(self, text, message):
+        # a RecursionError and int()'s ValueError before
+        with pytest.raises(ParseError) as info:
+            loads(text)
+        assert str(info.value).startswith(message)
 
 
 class TestCertificates:

@@ -4,7 +4,8 @@ exactly n+1 containment sweeps, and whose certificates verify.
 Every scalar is k/12; each instance is listed by its numerators k.  The
 instances were found by a seeded hill-climb with n generators: it moves one
 bound or one generator coordinate and keeps the move when the sweep count
-does not drop.
+does not drop (for the hemispace instances, the sweep count plus one half
+when the outcome is hemispace).
 """
 import json
 
@@ -63,12 +64,51 @@ SEMISPACE_AT_N_PLUS_1 = [
 ]
 
 # the hemispace fallback's own sweep is the (n+1)-th
-HEMISPACE_AT_N_PLUS_1 = (
-    [8, 6, 8, 5],
-    [10, 6, 9, 12],
-    [[11, 0, 5, 4], [10, 11, 4, 4], [4, 10, 1, 6], [4, 3, 12, 8]],
-    [2, 3, 3, 3, 4],
-)
+HEMISPACE_AT_N_PLUS_1 = [
+    ([7, 4], [9, 12], [[12, 0], [12, 10]], [2, 3, 4]),
+    ([4, 5, 6], [10, 12, 6], [[1, 0, 10], [0, 7, 12], [11, 5, 1]], [2, 3, 3, 4]),
+    (
+        [8, 6, 8, 5],
+        [10, 6, 9, 12],
+        [[11, 0, 5, 4], [10, 11, 4, 4], [4, 10, 1, 6], [4, 3, 12, 8]],
+        [2, 3, 3, 3, 4],
+    ),
+    (
+        [5, 7, 5, 6, 9],
+        [10, 12, 5, 12, 9],
+        [[5, 12, 7, 5, 10], [4, 5, 4, 5, 10], [4, 2, 2, 9, 11], [5, 7, 2, 5, 10], [9, 12, 10, 7, 7]],
+        [2, 3, 3, 3, 3, 4],
+    ),
+    (
+        [4, 6, 7, 3, 5, 8],
+        [10, 8, 7, 11, 12, 9],
+        [
+            [4, 6, 10, 7, 7, 11], [3, 3, 9, 0, 2, 12], [2, 1, 6, 1, 2, 11],
+            [7, 10, 7, 2, 7, 3], [5, 10, 9, 5, 4, 2], [3, 3, 5, 12, 7, 1],
+        ],
+        [2, 3, 3, 3, 3, 3, 4],
+    ),
+    (
+        [6, 8, 8, 4, 6, 4, 5],
+        [12, 8, 8, 5, 8, 6, 10],
+        [
+            [7, 4, 9, 0, 5, 1, 9], [10, 1, 11, 5, 12, 2, 3], [2, 4, 6, 7, 12, 2, 11],
+            [3, 9, 7, 2, 5, 3, 2], [1, 6, 11, 12, 5, 10, 12], [4, 1, 10, 9, 5, 3, 11],
+            [1, 11, 8, 11, 12, 2, 11],
+        ],
+        [2, 3, 3, 3, 3, 3, 3, 4],
+    ),
+    (
+        [6, 7, 2, 5, 6, 5, 5, 1],
+        [7, 7, 5, 7, 6, 12, 10, 8],
+        [
+            [5, 9, 0, 3, 5, 2, 3, 0], [4, 11, 6, 8, 3, 7, 4, 7], [3, 6, 0, 5, 7, 4, 10, 7],
+            [9, 12, 4, 9, 5, 4, 5, 0], [6, 2, 6, 3, 11, 12, 7, 0], [12, 5, 5, 7, 9, 10, 11, 5],
+            [8, 7, 0, 11, 8, 6, 6, 3], [7, 8, 12, 6, 0, 2, 7, 7],
+        ],
+        [2, 3, 3, 3, 3, 3, 3, 3, 4],
+    ),
+]
 
 
 def twelfths(ks):
@@ -109,8 +149,10 @@ def test_semispace_spends_n_plus_1_sweeps(tmp_path, capsys, lower, upper, gens, 
     assert [entry["stage"] for entry in cert["trace"]] == stages
 
 
-def test_hemispace_spends_n_plus_1_sweeps(tmp_path, capsys):
-    lower, upper, gens, stages = HEMISPACE_AT_N_PLUS_1
+@pytest.mark.parametrize(
+    "lower, upper, gens, stages", HEMISPACE_AT_N_PLUS_1, ids=[f"n{len(case[0])}" for case in HEMISPACE_AT_N_PLUS_1]
+)
+def test_hemispace_spends_n_plus_1_sweeps(tmp_path, capsys, lower, upper, gens, stages):
     cert = separate_and_verify(tmp_path, capsys, instance(lower, upper, gens))
     assert cert["outcome"] == "hemispace"
     assert cert["oracle_calls"] == len(cert["trace"]) == len(lower) + 1
