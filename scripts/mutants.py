@@ -214,13 +214,13 @@ MUTANTS = (
         "scene-hull-test-negated", "svg.py",
         "            if in_hull(gens, p, top):", "            if not in_hull(gens, p, top):",
         "plot samples the grid points outside each hull",
-        ("tests/test_plot_golden.py",),
+        ("tests/test_plot_scene.py::test_scene_reads_back_to_its_documents",),
     ),
     Mutant(
         "scene-certificate-box-corners-swapped", "svg.py",
-        "        lower, upper = map(table.encode, corners)", "        upper, lower = map(table.encode, corners)",
-        "plot draws no certificate box",
-        ("tests/test_plot_golden.py",),
+        "box(map(table.encode, corners),", "box(map(table.encode, corners[::-1]),",
+        "plot draws the certificate box from its upper corner to its lower one",
+        ("tests/test_plot_scene.py::test_scene_reads_back_to_its_documents",),
     ),
     Mutant(
         "loads-recursion-uncaught", "serialize.py",
@@ -230,6 +230,40 @@ MUTANTS = (
             "tests/test_serialize.py::TestInstances::test_hostile_json_is_a_parse_error",
             "tests/test_cli.py::TestHostileJson",
         ),
+    ),
+    Mutant(
+        "options-falsy-read-as-absent", "serialize.py",
+        'raw = data["options"] if data.get("options") is not None else {}', 'raw = data.get("options") or {}',
+        "an options field of [], 0, false or \"\" is read as no options",
+        ("tests/test_cli.py::TestInstanceBoundary::test_falsy_options_that_are_not_an_object",),
+    ),
+    Mutant(
+        "hemispace-entry-unchecked", "serialize.py",
+        "            if not 1 <= i <= len(x0):\n", "            if False:\n",
+        "an M entry outside 1..n reaches the library, which names it 0-based",
+        (
+            "tests/test_serialize.py::TestDescriptors::test_hemispace_entry_outside_the_dimension_names_its_wire_index",
+            "tests/test_cli.py::TestVerify::test_malformed_certificate_is_an_error",
+        ),
+    ),
+    # the plain Fraction functions that no CLI path runs
+    Mutant(
+        "segment-one-branch", "core.py",
+        "    return branch(x, y) or branch(y, x)", "    return branch(x, y)",
+        "segment_contains only tries the branch with coefficient 1 on x",
+        ("tests/test_core.py::TestSegment",),
+    ),
+    Mutant(
+        "family-keeps-upper-type-at-one", "semispaces.py",
+        "    upper = [] if profile.has_one else [None]", "    upper = [None]",
+        "semispace_family keeps the upper type when a coordinate is 1",
+        ("tests/test_semispaces.py::TestFamily::test_case_sizes", "tests/test_cli.py::TestFamily"),
+    ),
+    Mutant(
+        "region-t2-holds-the-diagonal", "planar.py",
+        "and x < E.c[0] and y > x:", "and x < E.c[0] and y >= x:",
+        "region_classify puts diagonal points above a into T2",
+        ("tests/test_planar.py::TestRegionClassify",),
     ),
 )
 

@@ -5,12 +5,13 @@ fixed-dimension vectors of scalars.  Every operation of the library is a
 composition of min, max and comparisons, so its results reuse input values
 and commute with every strictly increasing map of [0, 1] that fixes 0 and 1.
 
-So each algorithm has one implementation, a kernel (residual, join_ranks,
-meet_ranks, leq, on_segment here, and their counterparts in the other
-modules), and a kernel runs on any totally ordered scalars with bottom 0
-and a given top.  The public functions run the kernels on the exact
-Fraction coordinates with top 1 and wrap the result in a Point.  The CLI
-runs them on ranks: a Scale numbers the distinct scalars of one instance,
+So each algorithm the CLI runs has one implementation, a kernel (residual,
+join_ranks, meet_ranks and leq here, and their counterparts in the other
+modules), which runs on any totally ordered scalars with bottom 0 and a
+given top.  The public functions run the kernels on the exact Fraction
+coordinates with top 1 and wrap the result in a Point; segment_contains,
+which no CLI path runs, is a plain Fraction function.  The CLI runs the
+kernels on ranks: a Scale numbers the distinct scalars of one instance,
 plus 0 and 1, as 0..K in increasing order, so 0 becomes rank 0, 1 becomes
 rank K (`top`) and a point a tuple of ints.  Relabelling by the Scale is
 an order-preserving map, so answers computed on ranks decode to the exact
@@ -199,21 +200,6 @@ def residual(y: Ranks, cap: Ranks, top: int) -> int:
     return best
 
 
-def on_segment(x: Ranks, y: Ranks, z: Ranks, top: int) -> bool:
-    """Decide z ∈ [x, y], the max-min segment.
-
-    Segment points are (a ∧ x) ⊕ (b ∧ y) with max(a, b) = 1.  Fixing a = 1,
-    the map b ↦ x ⊕ (b ∧ y) is monotone, so it hits z iff it does at the
-    greatest b with (b ∧ y) ≤ z.  Same with the roles swapped; z is on the
-    segment iff either branch lands exactly on z.
-    """
-
-    def branch(p: Ranks, q: Ranks) -> bool:
-        return join_ranks((p, meet_ranks(residual(q, z, top), q))) == z
-
-    return branch(x, y) or branch(y, x)
-
-
 def join(first: Point, *rest: Point) -> Point:
     """Componentwise max."""
     check_same_dim(first, *rest)
@@ -232,6 +218,17 @@ def greatest_meet_coefficient(y: Point, cap: Point) -> Fraction:
 
 
 def segment_contains(x: Point, y: Point, z: Point) -> bool:
-    """Decide z ∈ [x, y], the max-min segment; see on_segment."""
+    """Decide z ∈ [x, y], the max-min segment.
+
+    Segment points are (a ∧ x) ⊕ (b ∧ y) with max(a, b) = 1.  Fixing a = 1,
+    the map b ↦ x ⊕ (b ∧ y) is monotone, so it hits z iff it does at the
+    greatest b with (b ∧ y) ≤ z.  Same with the roles swapped; z is on the
+    segment iff either branch lands exactly on z.
+    """
     check_same_dim(x, y, z)
-    return on_segment(x.coords, y.coords, z.coords, ONE)
+    x, y, z = x.coords, y.coords, z.coords
+
+    def branch(p: tuple, q: tuple) -> bool:
+        return join_ranks((p, meet_ranks(residual(q, z, ONE), q))) == z
+
+    return branch(x, y) or branch(y, x)

@@ -4,19 +4,20 @@ Two disjoint generated sets in dimension 2 can always be separated by an
 axis-parallel box around one of them; if both sit strictly inside the
 square, the box can be complemented by a semispace around the other set.
 The box is the bounding box of one set, validated exactly against the
-other hull.  The algorithms run on tuples of any ordered scalars with a
-given top (see core); the public functions at the end run them on the
-exact coordinates with top 1.
+other hull.  The separations run on tuples of any ordered scalars with a
+given top (see core); their public functions at the end run them on the
+exact coordinates with top 1.  The four-region split takes Fraction points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import EXACT, Point, RankBox, Ranks, Scale, leq
+from .core import EXACT, ONE, Point, RankBox, Ranks, Scale
 from .convex import (
     Box,
     GeneratedConvexSet,
+    bounding_box,
     bounds,
     box_hull_point,
     hulls_common_point,
@@ -50,10 +51,10 @@ class PlanarExtremes:
     generators, which always lies in the hull.  B0 is the bounding box.
     """
 
-    a: Point | Ranks
-    b: Point | Ranks
-    c: Point | Ranks
-    B0: Box | RankBox
+    a: Point
+    b: Point
+    c: Point
+    B0: Box
 
 
 @dataclass(frozen=True)
@@ -68,37 +69,6 @@ def _require_planar(*sets: tuple[Ranks, ...]) -> None:
     for gens in sets:
         if len(gens[0]) != 2:
             raise DimensionError(f"planar separation needs dimension 2, got {len(gens[0])}")
-
-
-def extremes(gens: tuple[Ranks, ...]) -> PlanarExtremes:
-    """Extremal generators and bounding box of a planar set."""
-    _require_planar(gens)
-    # min is stable, so full ties fall back to input order by themselves
-    a = min(gens, key=lambda p: (p[0], p[1]))
-    b = min(gens, key=lambda p: (p[1], p[0]))
-    B0 = bounds(gens)
-    return PlanarExtremes(a=a, b=b, c=B0.upper, B0=B0)
-
-
-def classify(scale: Scale, E: PlanarExtremes, p: Ranks) -> RegionLabel:
-    """Classify a point of the square against the four-region split of B0.
-
-    The three corner regions T1, T2, T3 are pairwise disjoint by their
-    defining inequalities; what is left of B0 is the hull of {a, b, c},
-    which is certified on the spot.
-    """
-    if not (leq(E.B0.lower, p) and leq(p, E.B0.upper)):
-        return RegionLabel.OUTSIDE
-    x, y = p
-    if x < E.b[0] and y < E.a[1]:
-        return RegionLabel.T1
-    if y > E.a[1] and x < E.c[0] and y > x:
-        return RegionLabel.T2
-    if x > E.b[0] and y < E.c[1] and y < x:
-        return RegionLabel.T3
-    if not in_hull((E.a, E.b, E.c), p, scale.top):
-        raise InternalError(f"residual region point {scale.decode(p)} escapes the hull of a, b, c")
-    return RegionLabel.T0
 
 
 def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]) -> PlanarBoxCertificate:
@@ -148,17 +118,37 @@ def box_and_semispace(
 
 
 def planar_extremes(C: GeneratedConvexSet) -> PlanarExtremes:
-    """Extremal generators and bounding box of a planar set; see extremes."""
-    E = extremes(C.generators)
-    return replace(E, c=Point(E.c), B0=Box(*map(Point, E.B0)))
+    """Extremal generators and bounding box of a planar set."""
+    gens = C.generators
+    _require_planar(gens)
+    # min is stable, so full ties fall back to input order by themselves
+    a = min(gens, key=lambda p: (p[0], p[1]))
+    b = min(gens, key=lambda p: (p[1], p[0]))
+    B0 = bounding_box(C)
+    return PlanarExtremes(a=a, b=b, c=B0.upper, B0=B0)
 
 
 def region_classify(E: PlanarExtremes, p: Point) -> RegionLabel:
-    """Classify a point of the square against the four-region split of B0;
-    see classify."""
+    """Classify a point of the square against the four-region split of B0.
+
+    The three corner regions T1, T2, T3 are pairwise disjoint by their
+    defining inequalities; what is left of B0 is the hull of {a, b, c},
+    which is certified on the spot.
+    """
     if p.dim != 2:
         raise DimensionError(f"expected a planar point, got dimension {p.dim}")
-    return classify(EXACT, E, p.coords)
+    if not E.B0.contains_point(p):
+        return RegionLabel.OUTSIDE
+    x, y = p
+    if x < E.b[0] and y < E.a[1]:
+        return RegionLabel.T1
+    if y > E.a[1] and x < E.c[0] and y > x:
+        return RegionLabel.T2
+    if x > E.b[0] and y < E.c[1] and y < x:
+        return RegionLabel.T3
+    if not in_hull((E.a, E.b, E.c), p.coords, ONE):
+        raise InternalError(f"residual region point {p} escapes the hull of a, b, c")
+    return RegionLabel.T0
 
 
 def _exact(cert: PlanarBoxCertificate) -> PlanarBoxCertificate:

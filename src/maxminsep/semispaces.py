@@ -18,7 +18,7 @@ that sit on the cube boundary; see semispace_family.
 Descriptors are plain containers: the kernels here take descriptors whose
 x0 is a tuple of ordered scalars (ranks in the CLI, see core) and only
 index and compare it, so the public functions pass their Fraction points
-and descriptors in as they are, with top 1.
+and descriptors in as they are; semispace_family takes Fraction points.
 """
 from __future__ import annotations
 
@@ -94,22 +94,6 @@ def decode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
     return replace(S, x0=s.decode(S.x0))
 
 
-def sorted_positions(x0: Ranks, top: int) -> SortedProfile:
-    """Sort x0 descending and locate its first zero and any one."""
-    perm = descending_order(x0)
-    values = [x0[o] for o in perm]
-    beta = next((p for p, v in enumerate(values, start=1) if v == 0), None)
-    return SortedProfile(perm=perm, beta=beta, has_one=values[0] == top)
-
-
-def family_coordinates(x0: Ranks, top: int) -> list[int | None]:
-    """The family at x0 as coordinates, None for the upper type; see
-    semispace_family."""
-    profile = sorted_positions(x0, top)
-    last = len(x0) if profile.beta is None else profile.beta - 1
-    return ([None] if not profile.has_one else []) + list(profile.perm[:last])
-
-
 def membership(S: Descriptor) -> Callable[[Ranks], bool]:
     """The membership predicate of a rank descriptor."""
     x0 = S.x0
@@ -158,7 +142,10 @@ def first_outside(gens: tuple[Ranks, ...], S: Descriptor) -> Ranks | None:
 
 def sorted_profile(x0: Point) -> SortedProfile:
     """Sort x0 descending and locate its first zero and any one."""
-    return sorted_positions(x0, ONE)
+    perm = descending_order(x0)
+    values = [x0[o] for o in perm]
+    beta = next((p for p, v in enumerate(values, start=1) if v == 0), None)
+    return SortedProfile(perm=perm, beta=beta, has_one=values[0] == ONE)
 
 
 def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
@@ -170,7 +157,10 @@ def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
     dropped.  Sorted positions at and after the first zero coordinate beta
     denote empty sets and are dropped too.
     """
-    return [SemispaceDescriptor(x0, o) for o in family_coordinates(x0, ONE)]
+    profile = sorted_profile(x0)
+    last = len(x0) if profile.beta is None else profile.beta - 1
+    upper = [] if profile.has_one else [None]
+    return [SemispaceDescriptor(x0, o) for o in upper + list(profile.perm[:last])]
 
 
 def _contains(S: Descriptor, x: Point) -> bool:

@@ -217,10 +217,13 @@ def read_descriptor(data, table: ScalarTable) -> Descriptor:
         members = data["M"]
         if not isinstance(members, list):
             raise ParseError("M must be a list of 1-based coordinate indices")
-        try:
-            S = HemispaceDescriptor(x0, frozenset(json_int(i, "M entry") - 1 for i in members))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        M = set()
+        for entry in members:
+            i = json_int(entry, "M entry")
+            if not 1 <= i <= len(x0):
+                raise ParseError(f"M entry {i} outside 1..{len(x0)}")
+            M.add(i - 1)
+        S = HemispaceDescriptor(x0, frozenset(M))
     elif kind == "S0":
         S = SemispaceDescriptor(x0, None)
     elif kind == "Si":
@@ -313,7 +316,7 @@ def read_instance(data, table: ScalarTable) -> Instance:
         if len(gens[0]) != n:
             raise ParseError(f"set {name!r} has dimension {len(gens[0])}, expected {n}")
         sets[name] = gens
-    raw = data.get("options") or {}
+    raw = data["options"] if data.get("options") is not None else {}
     if not isinstance(raw, dict):
         raise ParseError("options must be an object")
     unknown = set(raw) - {"grid", "fallback"}

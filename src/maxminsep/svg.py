@@ -80,6 +80,17 @@ def render_scene(instance: dict, certificate: dict | None = None, grid: int | No
     def rect(ranks: tuple, style: str) -> str:
         return _rect(*map(coord.__getitem__, ranks), style)
 
+    def box(ends, fill: str, stroke: str) -> str:
+        """The box between two rank corners: a rect, a line when it is a
+        segment, a circle when it is a point."""
+        (a, b), (c, d) = ends
+        x0, y0, x1, y1 = (coord[r] for r in (a, b, c, d))
+        if a < c and b < d:
+            return _rect(x0, y0, x1, y1, f"{fill} {stroke}")
+        if (a, b) == (c, d):
+            return f'<circle cx="{_fx(x0)}" cy="{_fy(y0)}" r="0.01" fill="none" {stroke}/>'
+        return f'<line x1="{_fx(x0)}" y1="{_fy(y0)}" x2="{_fx(x1)}" y2="{_fy(y1)}" {stroke}/>'
+
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
         'viewBox="-0.08 -0.08 1.16 1.16">',
@@ -90,23 +101,10 @@ def render_scene(instance: dict, certificate: dict | None = None, grid: int | No
         for strip in _halfplane_strips(separator, table.encode(separator.x0), top):
             parts.append(rect(strip, 'fill="#ffd54f" fill-opacity="0.45"'))
     if inst.box is not None:
-        lower, upper = inst.box
-        parts.append(
-            rect(
-                (*lower, *upper),
-                'fill="#9e9e9e" fill-opacity="0.35" stroke="#212121" stroke-width="0.006"',
-            )
-            or f'<circle cx="{_fx(coord[lower[0]])}" cy="{_fy(coord[lower[1]])}" r="0.01" '
-            'fill="none" stroke="#212121" stroke-width="0.006"/>'
-        )
+        parts.append(box(inst.box, 'fill="#9e9e9e" fill-opacity="0.35"', 'stroke="#212121" stroke-width="0.006"'))
     if corners is not None:
-        lower, upper = map(table.encode, corners)
-        parts.append(
-            rect(
-                (*lower, *upper),
-                'fill="none" stroke="#e65100" stroke-width="0.008" stroke-dasharray="0.02,0.012"',
-            )
-        )
+        dashed = 'stroke="#e65100" stroke-width="0.008" stroke-dasharray="0.02,0.012"'
+        parts.append(box(map(table.encode, corners), 'fill="none"', dashed))
     for k, gens in enumerate(inst.sets.values()):
         color = _SET_COLORS[k % len(_SET_COLORS)]
         for p in itertools.product(scale.axis, repeat=2):

@@ -149,6 +149,52 @@ class TestSeparateBox:
         assert "error:" in err
 
 
+class TestInstanceBoundary:
+    """Instance documents the subcommands refuse before any work: exit 1,
+    one error line, nothing on stdout."""
+
+    @pytest.mark.parametrize("options", [[], 0, False, ""], ids=["list", "zero", "false", "empty-string"])
+    def test_falsy_options_that_are_not_an_object(self, tmp_path, capsys, options):
+        inst = write_instance(tmp_path, dict(SEPARABLE, options=options))
+        assert run(capsys, ["separate-box", "-i", inst]) == (1, "", "error: options must be an object\n")
+
+    def test_null_options_mean_the_defaults(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["separate-box", "-i", write_instance(tmp_path, dict(SEPARABLE, options=None))])
+        assert code == 0
+        assert json.loads(out)["instance"]["options"] == {"fallback": True, "grid": 10}
+
+    @pytest.mark.parametrize("command", ["separate-box", "check-cond"])
+    def test_instance_without_a_set(self, tmp_path, capsys, command):
+        inst = write_instance(tmp_path, dict(SEPARABLE, sets={}))
+        assert run(capsys, [command, "-i", inst]) == (1, "", "error: the instance defines no generated set\n")
+
+    def test_two_set_separation_of_one_set(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, dict(TWO_SETS, sets={"C1": TWO_SETS["sets"]["C1"]}))
+        assert run(capsys, ["separate-2d", "-i", inst]) == (
+            1, "", "error: two generated sets are required, in document order\n"
+        )
+
+    def test_instance_that_is_not_an_object(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [])
+        assert run(capsys, ["separate-box", "-i", inst]) == (1, "", "error: instance must be a JSON object\n")
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            dict(SEPARABLE, box={"lower": ["0.2"], "upper": ["0.8", "0.5"]}),
+            dict(SEPARABLE, sets={"C": [["0.1"], ["0.1", "0.8"]]}),
+        ],
+        ids=["box", "set"],
+    )
+    def test_mixed_dimensions(self, tmp_path, capsys, instance):
+        inst = write_instance(tmp_path, instance)
+        assert run(capsys, ["separate-box", "-i", inst]) == (1, "", "error: mixed dimensions: [1, 2]\n")
+
+    def test_check_cond_without_a_box(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, dict(SEPARABLE, box=None))
+        assert run(capsys, ["check-cond", "-i", inst]) == (1, "", "error: check-cond needs a box in the instance\n")
+
+
 class TestScalarDedupe:
     """Each distinct scalar string of an instance is parsed once and values
     share a rank; every check of the scalar parser still applies."""
@@ -635,6 +681,11 @@ class TestVerify:
                 "box": {"lower": ["0.2", "0.2"], "upper": ["0.6", "0.6"]},
                 "sets": {"C": [["0.5", "0.5"], ["0.9", "0.1"]]},
             }}, "box and hull share the point (3/5, 1/2)"),
+            # a hemispace entry is named by its 1-based wire index
+            (dict(BOX_CERT, outcome="hemispace", separator={"type": "S0", "x0": ["0.8", "0.5"], "M": [0]}),
+             "M entry 0 outside 1..2"),
+            (dict(BOX_CERT, outcome="hemispace", separator={"type": "S0", "x0": ["0.8", "0.5"], "M": [2, 3]}),
+             "M entry 3 outside 1..2"),
         ],
     )
     def test_malformed_certificate_is_an_error(self, tmp_path, capsys, certificate, error):

@@ -16,6 +16,7 @@ from maxminsep import (
 from maxminsep.serialize import (
     Instance,
     Options,
+    ScalarTable,
     box_from_dict,
     box_to_dict,
     certificate_to_dict,
@@ -32,6 +33,7 @@ from maxminsep.serialize import (
     point_from_list,
     point_to_list,
     scalar_pair,
+    read_descriptor,
     set_from_list,
     set_to_list,
 )
@@ -260,6 +262,17 @@ class TestDescriptors:
     def test_malformed_descriptors(self, bad):
         with pytest.raises(ParseError):
             descriptor_from_dict(bad)
+
+
+    @pytest.mark.parametrize("M, entry", [([0], 0), ([3], 3), ([-1], -1), ([2, 5, 0], 5)])
+    def test_hemispace_entry_outside_the_dimension_names_its_wire_index(self, M, entry):
+        with pytest.raises(ParseError) as info:
+            read_descriptor({"type": "S0", "x0": ["0.5", "0.5"], "M": M}, ScalarTable())
+        assert str(info.value) == f"M entry {entry} outside 1..2"
+
+    def test_library_hemispace_keeps_its_0_based_error(self):
+        with pytest.raises(ValueError, match="^coordinate 2 outside the point dimension$"):
+            HemispaceDescriptor(pt("0.5,0.5"), frozenset({2}))
 
 
 class TestInstances:
