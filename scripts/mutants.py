@@ -165,6 +165,35 @@ MUTANTS = (
         "the hemispace fallback never holds the set",
         ("tests/test_cli.py::TestSeparateBox::test_fallback_reaches_hemispace",),
     ),
+    # the band rounds of separate: the stage a round reads, the union of the
+    # earlier stages' members, and the round's positions
+    Mutant(
+        "band-lookup-strict", "separation.py",
+        "band[0].s <= failing[-1])", "band[0].s < failing[-1])",
+        "a round whose rightmost failing position is its stage's threshold reads the next stage",
+        (
+            "tests/test_separation.py::TestBandRounds",
+            "tests/test_oracle.py::TestExactSeparator::test_separable_iff_the_pipeline_finds_a_semispace",
+        ),
+    ),
+    Mutant(
+        "band-prior-not-accumulated", "separation.py",
+        "frozenset.union, initial=frozenset())", "lambda prior, members: prior, initial=frozenset())",
+        "every round's candidates watch no earlier stage's members",
+        (
+            "tests/test_separation.py::TestSeparateBoxProperties::test_agrees_with_brute_search",
+            "tests/test_box_condition.py::test_condition_decides_separability_on_sixths",
+        ),
+    ),
+    Mutant(
+        "band-filter-skips-threshold", "separation.py",
+        "if q >= stage.s]", "if q > stage.s]",
+        "a round never tries the failing position at its stage's threshold",
+        (
+            "tests/test_separation.py::TestSeparateBoxProperties::test_trace_is_orderly",
+            "tests/test_sweep_bound.py::test_semispace_spends_n_plus_1_sweeps",
+        ),
+    ),
     # one instance record and the descriptor reader
     Mutant(
         "on-ranks-corners-swapped", "serialize.py",

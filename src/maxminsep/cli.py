@@ -26,10 +26,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_instance(path: str) -> serialize.Instance:
-    return serialize.read_rank_instance(_read(path))
-
-
 def _load_certificate(path: str) -> dict:
     data = serialize.loads(_read(path))
     if not isinstance(data, dict):
@@ -48,7 +44,7 @@ def _emit(document: dict, out_path: str | None) -> None:
 def _cmd_separate_box(args) -> int:
     from .separation import separate
 
-    inst = _load_instance(args.instance)
+    inst = serialize.read_rank_instance(_read(args.instance))
     if inst.box is None:
         raise ParseError("separate-box needs a box in the instance")
     gens = serialize.single_set(inst)
@@ -61,7 +57,7 @@ def _cmd_separate_box(args) -> int:
 def _cmd_separate_2d(args) -> int:
     from .planar import box_and_semispace, box_one_set
 
-    inst = _load_instance(args.instance)
+    inst = serialize.read_rank_instance(_read(args.instance))
     gens1, gens2 = serialize.two_sets(inst)
     if args.with_semispace:
         cert, S = box_and_semispace(inst.scale, gens1, gens2)
@@ -85,7 +81,7 @@ def _cmd_family(args) -> int:
 def _cmd_check_cond(args) -> int:
     from .separation import NOT_SEPARABLE, separate
 
-    inst = _load_instance(args.instance)
+    inst = serialize.read_rank_instance(_read(args.instance))
     if inst.box is None:
         raise ParseError("check-cond needs a box in the instance")
     cert = separate(inst.scale, inst.box, serialize.single_set(inst), with_fallback=False)

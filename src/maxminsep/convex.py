@@ -43,10 +43,6 @@ class GeneratedConvexSet:
         object.__setattr__(self, "generators", gens)
 
     @property
-    def dim(self) -> int:
-        return self.generators[0].dim
-
-    @property
     def coords(self) -> tuple[tuple[Fraction, ...], ...]:
         """The generators' coordinate tuples, as the kernels take them."""
         return tuple(v.coords for v in self.generators)

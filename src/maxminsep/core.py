@@ -88,9 +88,6 @@ class Point:
         check_same_dim(self, other)
         return all(a <= b for a, b in zip(self, other))
 
-    def __ge__(self, other: "Point") -> bool:
-        return other.__le__(self)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 

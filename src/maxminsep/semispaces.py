@@ -163,33 +163,27 @@ def semispace_family(x0: Point) -> list[SemispaceDescriptor]:
     return [SemispaceDescriptor(x0, o) for o in upper + list(profile.perm[:last])]
 
 
-def _contains(S: Descriptor, x: Point) -> bool:
+def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
+    """Evaluate the membership predicate exactly."""
     check_same_dim(S.x0, x)
     return membership(S)(x)
 
 
-def semispace_contains(S: SemispaceDescriptor, x: Point) -> bool:
-    """Evaluate the membership predicate exactly."""
-    return _contains(S, x)
-
-
 def hemispace_contains(H: HemispaceDescriptor, x: Point) -> bool:
-    return _contains(H, x)
-
-
-def _avoids(S: Descriptor, B: Box) -> bool:
-    check_same_dim(S.x0, B.lower)
-    return misses_box(S, B)
+    check_same_dim(H.x0, x)
+    return membership(H)(x)
 
 
 def semispace_avoids_box(S: SemispaceDescriptor, B: Box) -> bool:
     """Exact emptiness of S ∩ B; see misses_box."""
-    return _avoids(S, B)
+    check_same_dim(S.x0, B.lower)
+    return misses_box(S, B)
 
 
 def hemispace_avoids_box(H: HemispaceDescriptor, B: Box) -> bool:
     """Exact emptiness of H ∩ B: the box must stay below x0 on M."""
-    return _avoids(H, B)
+    check_same_dim(H.x0, B.lower)
+    return misses_box(H, B)
 
 
 def set_in_semispace(C: GeneratedConvexSet, S: Descriptor) -> Point | None:

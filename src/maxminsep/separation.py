@@ -19,14 +19,15 @@ defensively: containment of the set and emptiness against the box.  A
 broken invariant raises InternalError naming the stage and the number of
 sweeps traced so far.
 
-separate, upper_profile and lower_stages are the algorithms, on tuples of
-any ordered scalars with a given top (see core); separate_box, box_profile
-and lower_partition run them on the exact coordinates with top 1.
+separate, upper_profile and lower_stages are the algorithms, on tuples of any
+ordered scalars with a given top (see core); separate_box and box_profile run
+them on the exact coordinates with top 1, and lower_partition is lower_stages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import (
     EXACT,
@@ -131,11 +132,7 @@ def upper_profile(box: Box | RankBox) -> BoxProfile:
     perm = descending_order(box.upper)
     ups = [box.upper[o] for o in perm]
     lows = [box.lower[o] for o in perm]
-    prefix_max = []
-    running = None
-    for v in lows:
-        running = v if running is None else max(running, v)
-        prefix_max.append(running)
+    prefix_max = list(accumulate(lows, max))
     t = next(p for p in range(n, 0, -1) if ups[p - 1] >= prefix_max[p - 1])
     peak = prefix_max[t - 1]
     l = next(p for p in range(1, t + 1) if lows[p - 1] == peak)
@@ -198,16 +195,22 @@ def separate(
 
     Candidates are tried in a fixed order: the upper-type semispace at
     the upper corner when no upper bound reaches 1; otherwise the semispace
-    levelled at the dominant lower bound of the box profile; then per
-    failing lower-sorted position (largest first, one band of positions per
-    round) the semispace whose clause set is the union of the earlier
-    partition stages.  Every failed sweep returns a generator, and the
-    join of the stage-level meets of those generators with the running
-    witness pushes the witness above the box lower bounds on the whole
-    band, so the failing band moves strictly left each round and the
-    total number of sweeps stays ≤ n+1 (hemispace fallback included:
-    positions where the witness beats the upper bound are never tried).
-    Raises IntersectionError when box and hull share a point.
+    levelled at the dominant lower bound of the box profile; then, round by
+    round, per failing lower-sorted position of one band (largest first)
+    the semispace whose clause set is the union of the earlier partition
+    stages.  A round's band is [s_k, s_(k-1)) of the first stage k whose
+    threshold s_k is ≤ the rightmost failing position: the thresholds fall
+    strictly to 1, so the bands tile positions 1..n right to left.  (Take
+    s_k > 1.  Each position q ≥ s_k left after stage k has ups[q] ≥
+    lows[s_k - 1], because the smaller ones were stage k's members, and
+    ups[p] ≥ lows[p] for every p.  So no p ≥ s_k - 1 meets the next
+    threshold, and s_(k+1) ≤ s_k - 1.)  Every failed sweep returns a
+    generator, and the join of the stage-level meets of those generators
+    with the running witness pushes the witness above the box lower bounds
+    on the whole band, so the failing band moves strictly left each round
+    and the total number of sweeps stays ≤ n+1 (hemispace fallback
+    included: positions where the witness beats the upper bound are never
+    tried).  Raises IntersectionError when box and hull share a point.
     """
     top = scale.top
     lower, upper = box
@@ -247,26 +250,19 @@ def separate(
     perm = part.lower_perm
     lows = [lower[o] for o in perm]
     ups = [upper[o] for o in perm]
-    stages = part.stages
+    # each stage with prior, the union of the earlier stages' members
+    priors = accumulate((st.members for st in part.stages), frozenset.union, initial=frozenset())
+    bands = list(zip(part.stages, priors))
 
     # at most one round per partition stage, plus the round that sees no
     # failing position left
     for iteration in range(1, n + 2):
-        yv = [y[o] for o in perm]
-        failing = [p for p in range(1, n + 1) if yv[p - 1] < lows[p - 1]]
+        failing = [p for p in range(1, n + 1) if y[perm[p - 1]] < lows[p - 1]]
         if not failing:
             break
-        i_star = max(failing)
-        k = next(
-            k
-            for k in range(len(stages))
-            if stages[k].s <= i_star < (stages[k - 1].s if k > 0 else n + 1)
-        )
-        prior: frozenset[int] = frozenset().union(*(st.members for st in stages[:k])) if k else frozenset()
-        band_start = stages[k].s
-        band_end = stages[k - 1].s if k > 0 else n + 1
+        stage, prior = next(band for band in bands if band[0].s <= failing[-1])
         witnesses = []
-        for p in sorted((q for q in failing if band_start <= q < band_end), reverse=True):
+        for p in [q for q in reversed(failing) if q >= stage.s]:
             u_sorted = [
                 ups[q - 1] if q in prior else (lows[q - 1] if q < p else lows[p - 1])
                 for q in range(1, n + 1)
@@ -276,8 +272,7 @@ def separate(
             if w is None:
                 return done(SEMISPACE, S)
             witnesses.append(w)
-        level = stages[k].level
-        y = join_ranks([y, *(meet_ranks(level, w) for w in witnesses)])
+        y = join_ranks([y, *(meet_ranks(stage.level, w) for w in witnesses)])
     else:
         raise fault("separation loop exceeded the dimension bound", 3)
 
@@ -314,16 +309,14 @@ def decode_certificate(scale: Scale, cert: SeparationCertificate) -> SeparationC
     )
 
 
+lower_partition = lower_stages
+
+
 def box_profile(B: Box) -> BoxProfile:
     """Sort upper bounds descending and locate the threshold t and level u;
     see upper_profile."""
     profile = upper_profile(B)
     return replace(profile, u=Point(profile.u))
-
-
-def lower_partition(B: Box) -> PartitionProfile:
-    """Partition the lower-sorted positions into stages; see lower_stages."""
-    return lower_stages(B)
 
 
 def separate_box(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator
 
 from maxminsep import (
@@ -45,6 +46,11 @@ def scale_of(*points: Point) -> Scale:
     """The Scale of the points' coordinates, built from their pairs as the
     JSON reader builds one."""
     return Scale(pairs_of(*points))
+
+
+def grid_scale(d: int) -> Scale:
+    """The Scale of the grid values k/d, on which k/d has rank k."""
+    return Scale((k // gcd(k, d), d // gcd(k, d)) for k in range(d + 1))
 
 
 def rng(seed: int) -> random.Random:
@@ -244,10 +250,11 @@ def _segment_indices(a: tuple[int, ...], b: tuple[int, ...], d: int) -> Iterator
 def grid_hull(points: Iterable[Point], grid: Grid) -> frozenset[Point]:
     """Segment closure of on-grid points, computed to a fixpoint.
 
-    Worklist over pairs: each popped point is combined with everything
-    already collected (including itself); new points join the worklist.
-    Terminates because the grid is finite; stops early once the closure
-    saturates the whole grid.
+    Worklist over pairs: each popped point is combined with itself and
+    with every point popped before it, so each unordered pair of closure
+    points is combined once; new points join the worklist.  Terminates
+    because the grid is finite; stops early once the closure saturates the
+    whole grid.
     """
     grid.guard()
     pts = list(points)
@@ -256,10 +263,12 @@ def grid_hull(points: Iterable[Point], grid: Grid) -> frozenset[Point]:
     d = grid.denominator
     closure: set[tuple[int, ...]] = {index_of(grid, p) for p in pts}
     queue = list(closure)
+    popped: list[tuple[int, ...]] = []
     full = grid.size
     while queue and len(closure) < full:
         a = queue.pop()
-        for b in list(closure):
+        popped.append(a)
+        for b in popped:
             for combo in _segment_indices(a, b, d):
                 if combo not in closure:
                     closure.add(combo)
@@ -275,9 +284,9 @@ def brute_is_convex(points: Iterable[Point], grid: Grid) -> bool:
     check_same_dim(*pts)
     d = grid.denominator
     idx = {index_of(grid, p) for p in pts}
-    for a in idx:
-        for b in idx:
-            for combo in _segment_indices(a, b, d):
-                if combo not in idx:
-                    return False
+    # the segment [a, b] is the segment [b, a], so each unordered pair is enough
+    for a, b in itertools.combinations_with_replacement(idx, 2):
+        for combo in _segment_indices(a, b, d):
+            if combo not in idx:
+                return False
     return True

@@ -13,15 +13,15 @@ quoted from the paper.
 Everything runs on grid ranks: the scalar k/d is rank k, and 1 is rank d.
 """
 from itertools import combinations, product
-from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxminsep.convex import box_hull_point
-from maxminsep.core import RankBox, Scale
+from maxminsep.core import RankBox
 from maxminsep.oracle import exact_separator
 from maxminsep.separation import NOT_SEPARABLE, SEMISPACE, separate
+from helpers import grid_scale
 
 
 def condition_holds(lower, upper, top):
@@ -34,11 +34,6 @@ def blocking_point(lower, upper, top):
     is the largest one below 1."""
     k = upper.index(max(u for u in upper if u < top))
     return lower[:k] + (top,) + lower[k + 1:]
-
-
-def grid_scale(d):
-    """The Scale of the grid values k/d, on which k/d has rank k."""
-    return Scale((k // gcd(k, d), d // gcd(k, d)) for k in range(d + 1))
 
 
 def grid_boxes(n, d):

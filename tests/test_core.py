@@ -87,6 +87,18 @@ class TestPoint:
         assert not pt("0.1,0.5") <= pt("0.3,0.2")
         assert not pt("0.3,0.2") <= pt("0.1,0.5")
 
+    def test_greater_or_equal_is_the_reflected_order(self):
+        assert pt("1/2,1/2") >= pt("2/5,1/2")
+        assert not pt("2/5,1/2") >= pt("1/2,1/2")
+        assert not pt("0.1,0.5") >= pt("0.3,0.2")
+        assert not pt("0.3,0.2") >= pt("0.1,0.5")
+        with pytest.raises(TypeError, match="'>=' not supported between instances of 'Point' and 'tuple'"):
+            pt("1/2,1/2") >= (Fraction(1, 2), Fraction(1, 2))
+
+    def test_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="^a point needs at least one coordinate$"):
+            Point(())
+
     def test_rejects_float_coordinates(self):
         with pytest.raises(TypeError):
             Point.of(0.25, "0.5")

@@ -72,6 +72,10 @@ class TestGrid:
         assert grid_contains(grid, pt("0.25,1"))
         assert not grid_contains(grid, pt("0.2,1"))
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^grid dimension must be a positive integer$"):
+            Grid(4, 0)
+
     def test_guard_rejects_huge_grids(self):
         with pytest.raises(ResourceLimitError):
             Grid(100, 5).guard()

@@ -76,6 +76,11 @@ class TestRegionClassify:
         assert region_classify(E, pt("0.5,0.5")) is RegionLabel.T0
         assert region_classify(E, pt("0.9,0.9")) is RegionLabel.OUTSIDE
 
+    def test_rejects_other_dimensions(self):
+        E = planar_extremes(gset("0.2,0.6", "0.4,0.2", "0.7,0.5"))
+        with pytest.raises(DimensionError, match="^expected a planar point, got dimension 3$"):
+            region_classify(E, pt("0.3,0.3,0.3"))
+
     def test_upper_left_region(self):
         # a sits low enough that points above it and above the diagonal
         # fall into the upper-left region

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from maxminsep import (
@@ -29,9 +29,10 @@ from maxminsep import (
     set_in_semispace,
 )
 from maxminsep import separation
+from maxminsep.convex import box_hull_point
 from maxminsep.core import RankBox
 from maxminsep.cli import main
-from helpers import assert_nonseparable, box, brute_separation_search, gset, pt
+from helpers import assert_nonseparable, box, brute_separation_search, grid_scale, gset, pt
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
 coord4 = st.integers(min_value=0, max_value=4).map(lambda k: Fraction(k, 4))
@@ -288,6 +289,52 @@ class TestSeparateBoxProperties:
                 per_round.setdefault(e.iteration, []).append(e.position)
         maxima = [max(ps) for _, ps in sorted(per_round.items())]
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
+
+
+@st.composite
+def rank_instances(draw):
+    """(d, box, generators) on the ranks of the grid k/d: n = 2..7 and 1 to
+    5 generators."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.sampled_from((3, 4, 6, 8, 12)))
+    point = st.tuples(*[st.integers(0, d)] * n)
+    p, q = draw(point), draw(point)
+    box = RankBox(tuple(map(min, p, q)), tuple(map(max, p, q)))
+    return d, box, tuple(draw(st.lists(point, min_size=1, max_size=5)))
+
+
+class TestBandRounds:
+    """The two facts the band rounds of separate rely on."""
+
+    @given(rank_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_thresholds_fall_strictly_to_one(self, case):
+        _, box, _ = case
+        thresholds = [stage.s for stage in separation.lower_stages(box).stages]
+        assert thresholds[-1] == 1
+        assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+
+    # an instance that runs three band rounds (tests/test_sweep_bound.py)
+    @example((12, RankBox((8, 7, 7, 5), (8, 7, 10, 6)), ((5, 9, 10, 2), (7, 11, 10, 9), (1, 0, 10, 11), (1, 1, 6, 3))), False)
+    @given(rank_instances(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_each_round_stays_in_one_band_and_the_bands_move_left(self, case, fallback):
+        d, box, gens = case
+        assume(box_hull_point(box, gens, d) is None)
+        cert = separation.separate(grid_scale(d), box, gens, with_fallback=fallback)
+        rounds: dict[int, list[int]] = {}
+        for e in cert.trace:
+            if e.stage == 3:
+                rounds.setdefault(e.iteration, []).append(e.position)
+        target(float(len(rounds)))
+        thresholds = [stage.s for stage in separation.lower_stages(box).stages]
+        ends = [len(box.lower) + 1, *thresholds]  # ends[k] closes the band of stage k
+        ks = []
+        for _, positions in sorted(rounds.items()):
+            k = next(k for k, s in enumerate(thresholds) if s <= max(positions))
+            assert all(thresholds[k] <= p < ends[k] for p in positions)
+            ks.append(k)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
 class TestCheckSepCond:
