@@ -27,6 +27,7 @@ from maxminsep import (
 from maxminsep import serialize
 from maxminsep.convex import Box, GeneratedConvexSet
 from maxminsep.core import Point, as_scalar
+from maxminsep.separation import decode_certificate, separate
 from maxminsep.svg import render_scene
 
 
@@ -38,41 +39,27 @@ class SweepConfig:
     dimensions: tuple[int, ...] = (2, 3, 4)
 
 
-def _pt(spec: str) -> Point:
-    return Point(tuple(as_scalar(part) for part in spec.split(",")))
-
-
-def _instance(B: Box, C: GeneratedConvexSet, grid: int) -> serialize.Instance:
-    return serialize.Instance(
-        dimension=B.dim, box=B, sets={"C": C}, options=serialize.Options(grid=grid)
-    )
-
-
 def _rand_point(r: random.Random, n: int, d: int) -> Point:
     return Point(tuple(as_scalar(f"{r.randrange(d + 1)}/{d}") for _ in range(n)))
 
 
 def showcase(outdir: Path) -> None:
     fixtures = [
-        ("band_semispace", Box(_pt("0.2,0.2"), _pt("0.8,0.5")),
-         GeneratedConvexSet((_pt("0.1,0.8"),))),
-        ("band_hemispace", Box(_pt("0,0.3"), _pt("1,0.5")),
-         GeneratedConvexSet((_pt("0.4,0.8"),))),
+        ("band_semispace", {"lower": ["0.2", "0.2"], "upper": ["0.8", "0.5"]}, [["0.1", "0.8"]]),
+        ("band_hemispace", {"lower": ["0", "0.3"], "upper": ["1", "0.5"]}, [["0.4", "0.8"]]),
     ]
-    for name, B, C in fixtures:
-        cert = separate_box(B, C)
-        inst = _instance(B, C, grid=10)
+    for name, box, gens in fixtures:
+        inst = serialize.instance_from_dict(
+            {"dimension": 2, "box": box, "sets": {"C": gens}, "options": {"grid": 10}}
+        )
+        cert = separate(inst.scale, inst.box, serialize.single_set(inst))
         path = outdir / f"{name}.json"
         doc = serialize.certificate_to_dict(cert, inst)
         path.write_text(serialize.dumps(doc))
-        if cert.outcome == SEMISPACE:
-            ok = set_in_semispace(C, cert.separator) is None and semispace_avoids_box(
-                cert.separator, B
-            )
-        else:
-            ok = set_in_semispace(C, cert.separator) is None and hemispace_avoids_box(
-                cert.separator, B
-            )
+        B, C = serialize.box_from_dict(box), serialize.set_from_list(gens)
+        S = decode_certificate(inst.scale, cert).separator
+        avoids_box = semispace_avoids_box if cert.outcome == SEMISPACE else hemispace_avoids_box
+        ok = set_in_semispace(C, S) is None and avoids_box(S, B)
         print(f"{name}: outcome={cert.outcome} oracle_calls={cert.oracle_calls} "
               f"verified={ok} -> {path}")
         scene = outdir / f"{name}.svg"

@@ -212,6 +212,26 @@ MUTANTS = (
             "tests/test_cli.py::TestPlot::test_descriptor_key_of_another_type_is_refused",
         ),
     ),
+    # the point a failed verify check names, formatted from its ranks
+    Mutant(
+        "sweep-formats-neighbour-rank", "verify.py",
+        "format_scalar(*scale.pairs[r])", "format_scalar(*scale.pairs[r - 1])",
+        "a failed check names the scalar one rank below each coordinate of its point",
+        (
+            "tests/test_cli.py::TestVerify::test_failed_sweep_names_its_first_point",
+            "tests/test_cli.py::TestVerify::test_widened_two_set_box_names_its_failing_points",
+        ),
+    ),
+    Mutant(
+        "grid-first-returns-last", "oracle.py",
+        "        for y in itertools.product(*axes):\n            if offending(y):\n                return y\n        return None\n",
+        "        found = [y for y in itertools.product(*axes) if offending(y)]\n        return found[-1] if found else None\n",
+        "a sweep names the last offending grid point instead of the first",
+        (
+            "tests/test_oracle.py::TestRankGridDifferential::test_sweeps_match_the_fraction_reference",
+            "tests/test_cli.py::TestVerify::test_widened_two_set_box_names_its_failing_points",
+        ),
+    ),
     # the library code the referee still shares: each is killed by worked
     # examples and differential tests, not only by byte-golden ones
     Mutant(

@@ -27,6 +27,7 @@ from maxminsep import (
 from maxminsep import serialize
 from maxminsep.convex import GeneratedConvexSet
 from maxminsep.core import Point, as_scalar
+from maxminsep.planar import box_and_semispace
 from maxminsep.svg import render_scene
 
 
@@ -35,10 +36,6 @@ class SweepConfig:
     seed: int = 19
     pairs: int = 300
     denominator: int = 8
-
-
-def _pt(spec: str) -> Point:
-    return Point(tuple(as_scalar(part) for part in spec.split(",")))
 
 
 def _rand_set(r: random.Random, d: int, interior: bool) -> GeneratedConvexSet:
@@ -52,16 +49,17 @@ def _rand_set(r: random.Random, d: int, interior: bool) -> GeneratedConvexSet:
 
 
 def worked_pair(outdir: Path) -> None:
-    C1 = GeneratedConvexSet((_pt("0.55,0.65"), _pt("0.85,0.95")))
-    C2 = GeneratedConvexSet((_pt("0.2,0.3"), _pt("0.4,0.2")))
-    cert, S = separate_box_semispace(C1, C2)
-    inst = serialize.Instance(dimension=2, box=None, sets={"C1": C1, "C2": C2})
+    inst = serialize.instance_from_dict({
+        "dimension": 2,
+        "sets": {"C1": [["0.55", "0.65"], ["0.85", "0.95"]], "C2": [["0.2", "0.3"], ["0.4", "0.2"]]},
+    })
+    cert, S = box_and_semispace(inst.scale, *serialize.two_sets(inst))
     path = outdir / "planar_pair.json"
     doc = serialize.planar_certificate_to_dict(cert, inst, S)
     path.write_text(serialize.dumps(doc))
     scene = outdir / "planar_pair.svg"
     scene.write_text(render_scene(doc["instance"], doc, grid=12))
-    corners = serialize.box_to_dict(cert.box)
+    corners = doc["box"]
     print(f"worked pair: boxed_set={cert.boxed_set} box={corners['lower']}..{corners['upper']} "
           f"-> {path}, {scene}")
 

@@ -44,7 +44,7 @@ def _emit(document: dict, out_path: str | None) -> None:
 def _cmd_separate_box(args) -> int:
     from .separation import separate
 
-    inst = serialize.read_rank_instance(_read(args.instance))
+    inst = serialize.parse_instance(_read(args.instance))
     if inst.box is None:
         raise ParseError("separate-box needs a box in the instance")
     gens = serialize.single_set(inst)
@@ -57,7 +57,7 @@ def _cmd_separate_box(args) -> int:
 def _cmd_separate_2d(args) -> int:
     from .planar import box_and_semispace, box_one_set
 
-    inst = serialize.read_rank_instance(_read(args.instance))
+    inst = serialize.parse_instance(_read(args.instance))
     gens1, gens2 = serialize.two_sets(inst)
     if args.with_semispace:
         cert, S = box_and_semispace(inst.scale, gens1, gens2)
@@ -81,7 +81,7 @@ def _cmd_family(args) -> int:
 def _cmd_check_cond(args) -> int:
     from .separation import NOT_SEPARABLE, separate
 
-    inst = serialize.read_rank_instance(_read(args.instance))
+    inst = serialize.parse_instance(_read(args.instance))
     if inst.box is None:
         raise ParseError("check-cond needs a box in the instance")
     cert = separate(inst.scale, inst.box, serialize.single_set(inst), with_fallback=False)

@@ -11,8 +11,8 @@ tuple of its coordinates' ranks.  Max-min membership only compares
 coordinates (hulls take mins and maxes of input values), so this
 order-preserving relabel is exact and the inner loops compare small ints.
 Only a sweep needs the grid: RankGrid adds the grid values k/d to the
-Scale, and only after the grid passes its guard.  Only a point that is
-returned gets decoded.
+Scale, and only after the grid passes its guard.  A sweep returns the
+ranks of the point it finds.
 
 Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
 points inside the box, hull-side sweeps those inside the bounding box of the
@@ -92,9 +92,9 @@ class RankGrid(Scale):
         super().__init__((*grid_pairs, *pairs))
         self.axis = tuple(map(self.rank.__getitem__, grid_pairs))
 
-    def first(self, offending: Callable[[Ranks], bool], *regions: RankBox) -> Point | None:
+    def first(self, offending: Callable[[Ranks], bool], *regions: RankBox) -> Ranks | None:
         """First grid point, in lexicographic order, that lies in every
-        region and is offending; decoded, None when there is none."""
+        region and is offending; None when there is none."""
         axes = []
         for i in range(len(regions[0][0])):
             lo = max(r[0][i] for r in regions)
@@ -102,7 +102,7 @@ class RankGrid(Scale):
             axes.append([g for g in self.axis if lo <= g <= hi])
         for y in itertools.product(*axes):
             if offending(y):
-                return self.decode(y)
+                return y
         return None
 
 

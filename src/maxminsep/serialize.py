@@ -10,12 +10,11 @@ Reading a document goes through a ScalarTable: every point is validated
 as a list of strings, and each distinct string is read once into its
 normalised (numerator, denominator) int pair by scalar_pair, with every
 check of parse_scalar.  read_instance gives one Instance record whose
-points are those strings.  The table then either decodes the points to
-Fraction (instance_from_dict and the other *_from_* functions, which no
-subcommand calls), or on_ranks numbers the pairs on a Scale and gives the
-same record on ranks, with the Scale in its scale field: read_rank_instance
-does this for the separation subcommands, verify and plot on a RankGrid.
-Emitting a certificate formats each rank once.
+points are those strings; on_ranks numbers the pairs on a Scale and gives
+the same record on ranks: instance_from_dict on the document's own
+scalars, verify and plot on a RankGrid.  Only the box, set, descriptor and
+point readers decode to Fraction.  Emitting a certificate formats each
+rank once.
 """
 from __future__ import annotations
 
@@ -256,12 +255,12 @@ class Options:
 class Instance:
     """One problem instance: a cube dimension, an optional box, named
     generated sets in document order, and options.  A point is a tuple of
-    scalar strings (read_instance), a Fraction Point (instance_from_dict) or
-    a tuple of ranks of `scale` (on_ranks); scale is None unless on ranks."""
+    scalar strings (read_instance) or a tuple of ranks of `scale`
+    (on_ranks); scale is None unless on ranks."""
 
     dimension: int
-    box: Box | None
-    sets: dict[str, GeneratedConvexSet] = field(default_factory=dict)
+    box: tuple | None
+    sets: dict[str, tuple] = field(default_factory=dict)
     options: Options = Options()
     scale: Scale | None = None
 
@@ -270,7 +269,7 @@ class Instance:
 
 
 def single_set(inst: Instance):
-    """The instance's first generated set; a point is strings, a Fraction Point or ranks."""
+    """The instance's first generated set; a point is strings or ranks."""
     if not inst.sets:
         raise ParseError("the instance defines no generated set")
     return inst.set_list()[0]
@@ -331,20 +330,6 @@ def read_instance(data, table: ScalarTable) -> Instance:
     return Instance(dimension=n, box=box, sets=sets, options=Options(grid, fallback))
 
 
-def instance_from_dict(data) -> Instance:
-    from .convex import Box, GeneratedConvexSet
-
-    table = ScalarTable()
-    raw = read_instance(data, table)
-    point = table.decode
-    return Instance(
-        dimension=raw.dimension,
-        box=None if raw.box is None else Box(point(raw.box[0]), point(raw.box[1])),
-        sets={name: GeneratedConvexSet(tuple(map(point, gens))) for name, gens in raw.sets.items()},
-        options=raw.options,
-    )
-
-
 def on_ranks(inst: Instance, table: ScalarTable, scale: Scale | None = None) -> Instance:
     """The instance read into `table`, on ranks: the table's pairs are
     numbered on `scale` (a Scale of their own when None), and the box and
@@ -358,29 +343,26 @@ def on_ranks(inst: Instance, table: ScalarTable, scale: Scale | None = None) -> 
     return Instance(inst.dimension, box, sets, inst.options, scale)
 
 
-def read_rank_instance(text: str) -> Instance:
-    """Parse an instance document straight to ranks, on a Scale of its own
-    scalars."""
+def instance_from_dict(data) -> Instance:
+    """The instance document on ranks, on a Scale of its own scalars."""
     table = ScalarTable()
-    return on_ranks(read_instance(loads(text), table), table)
+    return on_ranks(read_instance(data, table), table)
 
 
 def formatter(inst: Instance) -> Callable:
-    """Point formatting for an instance: through a table of the canonical
-    strings of its ranks, or coordinate by coordinate for Fraction points."""
-    if inst.scale is not None:
-        name = [format_scalar(p, q) for p, q in inst.scale.pairs].__getitem__
-        return lambda p: list(map(name, p))
-    return point_to_list
+    """Point formatting for an instance on ranks, through a table of the
+    canonical strings of its ranks."""
+    name = [format_scalar(p, q) for p, q in inst.scale.pairs].__getitem__
+    return lambda p: list(map(name, p))
 
 
 def instance_to_dict(inst: Instance, fmt: Callable | None = None) -> dict:
-    """The document of an instance whose points are Fraction Points or ranks."""
+    """The document of an instance on ranks."""
     fmt = fmt or formatter(inst)
     return {
         "dimension": inst.dimension,
         "box": box_to_dict(inst.box, fmt) if inst.box is not None else None,
-        "sets": {name: [fmt(v) for v in (C if inst.scale else C.generators)] for name, C in inst.sets.items()},
+        "sets": {name: [fmt(v) for v in gens] for name, gens in inst.sets.items()},
         "options": {"grid": inst.options.grid, "fallback": inst.options.fallback},
     }
 
@@ -408,6 +390,7 @@ def loads(text: str):
 
 
 def parse_instance(text: str) -> Instance:
+    """The instance document text on ranks; see instance_from_dict."""
     return instance_from_dict(loads(text))
 
 
@@ -422,8 +405,8 @@ def _trace_entry_to_dict(entry: TraceEntry, fmt: Callable) -> dict:
 
 
 def certificate_to_dict(cert: SeparationCertificate, inst: Instance) -> dict:
-    """A box certificate of an instance whose points are Fraction Points or
-    ranks; on ranks, its own points are ranks of the instance's Scale."""
+    """A box certificate of an instance on ranks, whose own points are
+    ranks of the instance's Scale."""
     fmt = formatter(inst)
     return {
         "kind": "box",
@@ -441,8 +424,8 @@ def planar_certificate_to_dict(
     inst: Instance,
     semispace: SemispaceDescriptor | None = None,
 ) -> dict:
-    """A two-set certificate of an instance whose points are Fraction Points
-    or ranks; on ranks, its own points are ranks of the instance's Scale."""
+    """A two-set certificate of an instance on ranks, whose own points are
+    ranks of the instance's Scale."""
     fmt = formatter(inst)
     return {
         "kind": "two-set",

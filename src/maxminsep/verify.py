@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import serialize
 from .convex import box_hull_point
-from .core import Point, RankBox, leq
+from .core import RankBox, Ranks, Scale, leq
 from .errors import IntersectionError, ParseError
 from .oracle import Grid, RankGrid, _misses, exact_separator, hull, semispace, span
 from .semispaces import HemispaceDescriptor
@@ -25,11 +25,11 @@ def _check(checks: list, name: str, ok: bool) -> None:
     checks.append({"check": name, "ok": bool(ok)})
 
 
-def _sweep(checks: list, name: str, point: Point | None) -> None:
-    """Record a check that names its offending point when it fails."""
+def _sweep(checks: list, name: str, point: Ranks | None, scale: Scale) -> None:
+    """Record a check that names its offending point, ranks of `scale`, when it fails."""
     _check(checks, name, point is None)
     if point is not None:
-        checks[-1]["point"] = serialize.point_to_list(point)
+        checks[-1]["point"] = [serialize.format_scalar(*scale.pairs[r]) for r in point]
 
 
 def _field(data: dict, key: str):
@@ -83,7 +83,7 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
             M = frozenset(i for i, u in enumerate(box.upper) if u < scale.top)
             if all(map(semispace(HemispaceDescriptor(box.upper, M)), gens)):
                 x0 = box.upper
-        _sweep(checks, "no grid semispace separates", None if x0 is None else scale.decode(x0))
+        _sweep(checks, "no grid semispace separates", x0, scale)
         return
     in_S = semispace(replace(S, x0=table.encode(S.x0)))
     _check(checks, "set inside separator", all(map(in_S, gens)))
@@ -92,9 +92,10 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
         checks,
         "grid hull points inside separator",
         scale.first(lambda y: not in_S(y) and in_hull(y), span(gens)),
+        scale,
     )
     if not hemispace:
-        _sweep(checks, "no grid box point inside separator", scale.first(in_S, box))
+        _sweep(checks, "no grid box point inside separator", scale.first(in_S, box), scale)
 
 
 def _two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, checks: list) -> None:
@@ -121,12 +122,13 @@ def _two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid
         checks,
         "no grid point of the other hull in the box",
         rg.first(hull(other, rg.top), span(other), box),
+        rg,
     )
     if S is not None:
         in_S = semispace(replace(S, x0=table.encode(S.x0)))
         _check(checks, "other set inside semispace", all(map(in_S, other)))
         _check(checks, "semispace misses the box", _misses(in_S, box))
-        _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box))
+        _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box), rg)
 
 
 def check_certificate(data: dict, grid_denominator: int | None) -> dict:

@@ -3,11 +3,14 @@ and brute-force references that bypass the library code paths."""
 from __future__ import annotations
 
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
 from typing import Iterable, Iterator
 
+import maxminsep
 from maxminsep import (
     Box,
     GeneratedConvexSet,
@@ -23,6 +26,12 @@ from maxminsep import (
 )
 from maxminsep.core import Ranks, Scale, check_same_dim
 from maxminsep.oracle import RankGrid, _semispace_member
+
+
+def package_modules() -> list:
+    """The package and every module of it but __main__, imported."""
+    names = [m.name for m in pkgutil.iter_modules(maxminsep.__path__) if m.name != "__main__"]
+    return [maxminsep, *(import_module(f"maxminsep.{name}") for name in names)]
 
 
 def pt(spec: str) -> Point:

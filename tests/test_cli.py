@@ -11,7 +11,7 @@ import pytest
 import maxminsep
 from maxminsep import ParseError
 from maxminsep.cli import build_parser, main
-from maxminsep.serialize import read_rank_instance
+from maxminsep.serialize import parse_instance
 
 SEPARABLE = {
     "dimension": 2,
@@ -206,7 +206,7 @@ class TestScalarDedupe:
             "sets": {"C": [["0.50", "0.9"], ["1/2", "0.95"]]},
         }
         path = write_instance(tmp_path, doc)
-        inst = read_rank_instance(Path(path).read_text(encoding="utf-8"))
+        inst = parse_instance(Path(path).read_text(encoding="utf-8"))
         assert inst.box.upper[0] == inst.box.upper[1] == inst.sets["C"][0][0] == inst.sets["C"][1][0]
         assert inst.scale.values == tuple(map(Fraction, ("0", "0.1", "0.5", "0.9", "0.95", "1")))
         code, out, _ = run(capsys, ["separate-box", "-i", path])
@@ -236,7 +236,7 @@ class TestScalarDedupe:
         assert out == ""
         assert err.startswith("error:")
         with pytest.raises(ParseError):
-            read_rank_instance(json.dumps(dict(SEPARABLE, sets={"C": gens})))
+            parse_instance(json.dumps(dict(SEPARABLE, sets={"C": gens})))
 
 
 class TestSeparateTwoSets:
@@ -528,6 +528,28 @@ class TestVerify:
         last = json.loads(out)["checks"][-1]
         assert last["check"] == "no grid semispace separates"
         assert last["point"] == ["0.8", "0.5"]
+
+    def test_widened_two_set_box_names_its_failing_points(self, tmp_path, capsys):
+        # the box of C1 widened to lower corner (0.15, 0.25) holds C2's hull,
+        # whose first grid point in the box is the generator (0.2, 0.3), and
+        # meets the semispace y_1 < 0.55 first at that corner
+        inst = write_instance(tmp_path, TWO_SETS)
+        cert_path = tmp_path / "cert.json"
+        run(capsys, ["separate-2d", "-i", inst, "--with-semispace", "-o", str(cert_path)])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        assert data["box"] == {"lower": ["0.55", "0.65"], "upper": ["0.85", "0.95"]}
+        assert data["semispace"] == {"type": "Si", "x0": ["0.55", "0.65"], "i": 1}
+        data["box"]["lower"] = ["0.15", "0.25"]
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path), "--grid", "20"])
+        assert code == 1
+        failed = {c["check"]: c.get("point") for c in json.loads(out)["checks"] if not c["ok"]}
+        assert failed == {
+            "box misses the other hull": None,
+            "no grid point of the other hull in the box": ["0.2", "0.3"],
+            "semispace misses the box": None,
+            "no grid box point inside semispace": ["0.15", "0.25"],
+        }
 
     def test_seven_dimensions_hit_the_grid_guard_before_any_sweep(self, tmp_path, capsys, monkeypatch):
         from types import SimpleNamespace

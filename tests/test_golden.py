@@ -11,8 +11,8 @@ import json
 import random
 from fractions import Fraction
 
-from maxminsep import box_intersects_hull, hull_intersection_witness
 from maxminsep.cli import main
+from maxminsep.convex import box_hull_point, hulls_common_point
 from maxminsep.serialize import instance_from_dict
 
 DIGEST = "503318ca526fbd1895b63a7c0577bb9f8ef44f1ada9c5430510a8f01bb82e275"
@@ -45,7 +45,7 @@ def _box_instances(r: random.Random):
             "sets": {"C": gens},
         }
         inst = instance_from_dict(doc)
-        if not box_intersects_hull(inst.box, inst.sets["C"]):
+        if box_hull_point(inst.box, inst.sets["C"], inst.scale.top) is None:
             out.append(doc)
     return out
 
@@ -59,7 +59,7 @@ def _pair_instances(r: random.Random):
         }
         doc = {"dimension": 2, "sets": sets}
         inst = instance_from_dict(doc)
-        if hull_intersection_witness(*inst.set_list()) is None:
+        if hulls_common_point(*inst.set_list(), inst.scale.top) is None:
             out.append(doc)
     return out
 

@@ -180,6 +180,12 @@ def _random_instance(r, n, den):
     return B, GeneratedConvexSet(gens)
 
 
+def _first(rg: RankGrid, offending, *regions):
+    """The point of rg.first, decoded."""
+    y = rg.first(offending, *regions)
+    return None if y is None else rg.decode(y)
+
+
 # (instance denominator, grid denominator): on the grid, off it (1/6 against
 # 1/4), and a grid coarser than the instance
 DIFFERENTIAL_CASES = [(n, den, d) for n in (1, 2, 3) for den, d in ((4, 4), (6, 4), (12, 3))]
@@ -206,16 +212,16 @@ class TestRankGridDifferential:
                 hull_contains(C, p) for p in grid.points()
             ]
             assert all(map(in_hull, gens))
-            assert rg.first(hull(other_gens, rg.top), span(other_gens), rank_box) == _reference_first(
+            assert _first(rg, hull(other_gens, rg.top), span(other_gens), rank_box) == _reference_first(
                 grid, lambda p: B.contains_point(p) and hull_contains(other, p)
             )
             for S in [*semispace_family(x0), H]:
                 member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
                 in_S = semispace(replace(S, x0=rg.encode(S.x0)))
-                assert rg.first(lambda y: not in_S(y) and in_hull(y), span(gens)) == _reference_first(
+                assert _first(rg, lambda y: not in_S(y) and in_hull(y), span(gens)) == _reference_first(
                     grid, lambda p: hull_contains(C, p) and not member(S, p)
                 )
-                assert rg.first(in_S, rank_box) == _reference_first(
+                assert _first(rg, in_S, rank_box) == _reference_first(
                     grid, lambda p: B.contains_point(p) and member(S, p)
                 )
 
@@ -238,8 +244,8 @@ class TestRankGridDifferential:
         rg = RankGrid(grid, pairs_of(B.lower, B.upper, *C.generators))
         rank_box = RankBox(rg.encode(B.lower), rg.encode(B.upper))
         gens = tuple(map(rg.encode, C.generators))
-        assert rg.first(lambda y: True, rank_box) == pt("0,0")
-        assert rg.first(hull(gens, rg.top), span(gens), rank_box) is None
+        assert _first(rg, lambda y: True, rank_box) == pt("0,0")
+        assert _first(rg, hull(gens, rg.top), span(gens), rank_box) is None
         assert first_grid_separator(B, C, grid) is None
 
     def test_guard_runs_before_any_enumeration(self, monkeypatch):

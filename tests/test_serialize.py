@@ -13,8 +13,9 @@ from maxminsep import (
     separate_box,
     separate_two_sets,
 )
+from maxminsep.planar import box_one_set
+from maxminsep.separation import separate
 from maxminsep.serialize import (
-    Instance,
     Options,
     ScalarTable,
     box_from_dict,
@@ -40,6 +41,13 @@ from maxminsep.serialize import (
 from helpers import box, gset, pt
 
 scalars = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+BOX_INSTANCE = {
+    "dimension": 2,
+    "box": {"lower": ["0.2", "0.2"], "upper": ["0.8", "0.5"]},
+    "sets": {"C": [["0.1", "0.8"]]},
+    "options": {"grid": 10, "fallback": True},
+}
 
 
 class TestScalarStrings:
@@ -286,9 +294,10 @@ class TestInstances:
             }
         )
         inst = parse_instance(text)
+        decode = inst.scale.decode
         assert inst.dimension == 2
-        assert inst.box == box("0.2,0.3", "0.9,0.5")
-        assert inst.sets["C"] == gset("0.4,0.8", "0.1,0.2")
+        assert Box(*map(decode, inst.box)) == box("0.2,0.3", "0.9,0.5")
+        assert tuple(map(decode, inst.sets["C"])) == gset("0.4,0.8", "0.1,0.2").generators
         assert inst.options == Options(grid=8, fallback=False)
 
     def test_defaults(self):
@@ -303,16 +312,18 @@ class TestInstances:
                 "sets": {"B": [["0.2"]], "A": [["0.7"]]},
             }
         )
-        assert inst.set_list() == [gset("0.2"), gset("0.7")]
+        assert [tuple(map(inst.scale.decode, gens)) for gens in inst.set_list()] == [
+            gset("0.2").generators, gset("0.7").generators
+        ]
 
     def test_round_trip(self):
-        inst = Instance(
-            dimension=2,
-            box=box("0,0.3", "1,0.5"),
-            sets={"C": gset("0.4,0.8")},
-            options=Options(grid=10, fallback=True),
-        )
-        assert instance_from_dict(instance_to_dict(inst)) == inst
+        doc = {
+            "dimension": 2,
+            "box": {"lower": ["0", "0.3"], "upper": ["1", "0.5"]},
+            "sets": {"C": [["0.4", "0.8"]]},
+            "options": {"grid": 10, "fallback": True},
+        }
+        assert instance_to_dict(instance_from_dict(doc)) == doc
 
     @pytest.mark.parametrize(
         "bad",
@@ -379,29 +390,28 @@ class TestInstances:
 
 class TestCertificates:
     def test_box_certificate_embeds_instance(self):
-        B = box("0.2,0.2", "0.8,0.5")
-        C = gset("0.1,0.8")
-        inst = Instance(dimension=2, box=B, sets={"C": C})
-        cert = separate_box(B, C)
+        inst = instance_from_dict(BOX_INSTANCE)
+        cert = separate(inst.scale, inst.box, inst.sets["C"])
         data = certificate_to_dict(cert, inst)
         assert data["kind"] == "box"
-        assert data["instance"] == instance_to_dict(inst)
+        assert data["instance"] == BOX_INSTANCE
         assert data["outcome"] == "semispace"
         assert data["oracle_calls"] == cert.oracle_calls
-        assert descriptor_from_dict(data["separator"]) == cert.separator
+        expected = separate_box(box("0.2,0.2", "0.8,0.5"), gset("0.1,0.8"))
+        assert descriptor_from_dict(data["separator"]) == expected.separator
         assert len(data["trace"]) == cert.oracle_calls
         for entry in data["trace"]:
             assert set(entry) == {"stage", "iteration", "position", "candidate", "witness"}
 
     def test_two_set_certificate_embeds_instance(self):
-        C1 = gset("0.55,0.65", "0.85,0.95")
-        C2 = gset("0.2,0.3", "0.4,0.2")
-        inst = Instance(dimension=2, box=None, sets={"C1": C1, "C2": C2})
-        cert = separate_two_sets(C1, C2)
-        data = planar_certificate_to_dict(cert, inst)
+        sets = {"C1": [["0.55", "0.65"], ["0.85", "0.95"]], "C2": [["0.2", "0.3"], ["0.4", "0.2"]]}
+        inst = instance_from_dict({"dimension": 2, "sets": sets})
+        data = planar_certificate_to_dict(box_one_set(inst.scale, *inst.set_list()), inst)
+        expected = separate_two_sets(set_from_list(sets["C1"]), set_from_list(sets["C2"]))
         assert data["kind"] == "two-set"
-        assert data["boxed_set"] == cert.boxed_set
-        assert box_from_dict(data["box"]) == cert.box
+        assert data["instance"]["sets"] == sets
+        assert data["boxed_set"] == expected.boxed_set
+        assert box_from_dict(data["box"]) == expected.box
         assert data["semispace"] is None
 
 
@@ -434,9 +444,8 @@ class TestDumps:
         assert text == '{\n  "a": 1\n}\n'
 
     def test_serialized_certificates_are_byte_deterministic(self):
-        B = box("0.2,0.2", "0.8,0.5")
-        C = gset("0.1,0.8")
-        inst = Instance(dimension=2, box=B, sets={"C": C})
-        one = dumps(certificate_to_dict(separate_box(B, C), inst))
-        two = dumps(certificate_to_dict(separate_box(B, C), inst))
-        assert one == two
+        def emit():
+            inst = instance_from_dict(BOX_INSTANCE)
+            return dumps(certificate_to_dict(separate(inst.scale, inst.box, inst.sets["C"]), inst))
+
+        assert emit() == emit()

@@ -13,8 +13,8 @@ import json
 import random
 from fractions import Fraction
 
-from maxminsep import box_intersects_hull
 from maxminsep.cli import main
+from maxminsep.convex import box_hull_point
 from maxminsep.serialize import instance_from_dict
 
 DIGEST = "ca0120711de42796dad601d4f0ad8a1d11f694f0fd69e8aa7ff6342388311a23"
@@ -43,7 +43,7 @@ def _box_instances(r: random.Random):
             "options": {"grid": 10},
         }
         inst = instance_from_dict(doc)
-        if not box_intersects_hull(inst.box, inst.sets["C"]):
+        if box_hull_point(inst.box, inst.sets["C"], inst.scale.top) is None:
             out.append(doc)
     return out
 
