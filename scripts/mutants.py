@@ -41,6 +41,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the scalar reader and writer
     Mutant(
+        "scalar-no-exponent-bound", "core.py",
+        'if abs(int(exponent.replace("_", ""))) > MAX_SCALAR_EXPONENT:', "if False:",
+        "a scalar string with a huge exponent reaches Fraction, which stalls building its denominator",
+        (
+            "tests/test_core.py::TestAsScalar::test_rejects_oversized_strings_like_the_json_reader",
+            "tests/test_core.py::TestAsScalar::test_point_parse_refuses_a_huge_exponent_at_once",
+        ),
+    ),
+    Mutant(
         "reader-no-gcd", "serialize.py",
         "            g = gcd(p, q)\n", "            g = 1\n",
         "plain scalar strings are not reduced, so 0.50 and 1/2 get different pairs",
@@ -154,10 +163,15 @@ MUTANTS = (
     # the library code the referee must not trust
     Mutant(
         "misses-box-skips-coordinate-1", "semispaces.py",
-        "        return all(u <= a for u, a in zip(upper, x0))",
-        "        return all(u <= a for u, a in list(zip(upper, x0))[1:])",
-        "the upper type is said to miss a box that crosses it on coordinate 1",
+        "all(box.upper[m] <= a for m, a in above)", "all(box.upper[m] <= a for m, a in above[1:])",
+        "a box that crosses the first upper clause, coordinate 1 of the upper type, is said to miss it",
         ("tests/test_oracle.py::TestTwoCornerRule",),
+    ),
+    Mutant(
+        "clauses-watch-the-threshold-block", "semispaces.py",
+        "for m, a in enumerate(x0) if a < tau]", "for m, a in enumerate(x0) if a <= tau]",
+        "a coordinate semispace also holds the points above x0 on its threshold block",
+        ("tests/test_semispaces.py",),
     ),
     Mutant(
         "stage-4-sweep-fails", "separation.py",

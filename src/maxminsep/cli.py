@@ -41,15 +41,20 @@ def _emit(document: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_separate_box(args) -> int:
+def _separate(args, fallback: bool):
+    """The instance of args on ranks and the certificate of its box and first
+    set; the hemispace stage runs when fallback and the instance allow it."""
     from .separation import separate
 
     inst = serialize.parse_instance(_read(args.instance))
     if inst.box is None:
-        raise ParseError("separate-box needs a box in the instance")
+        raise ParseError(f"{args.command} needs a box in the instance")
     gens = serialize.single_set(inst)
-    fallback = inst.options.fallback and not args.no_fallback
-    cert = separate(inst.scale, inst.box, gens, with_fallback=fallback)
+    return inst, separate(inst.scale, inst.box, gens, with_fallback=fallback and inst.fallback)
+
+
+def _cmd_separate_box(args) -> int:
+    inst, cert = _separate(args, not args.no_fallback)
     _emit(serialize.certificate_to_dict(cert, inst), args.output)
     return 0 if cert.separated else 2
 
@@ -79,13 +84,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_check_cond(args) -> int:
-    from .separation import NOT_SEPARABLE, separate
-
-    inst = serialize.parse_instance(_read(args.instance))
-    if inst.box is None:
-        raise ParseError("check-cond needs a box in the instance")
-    cert = separate(inst.scale, inst.box, serialize.single_set(inst), with_fallback=False)
-    witness = cert.witness if cert.outcome == NOT_SEPARABLE else None
+    inst, cert = _separate(args, False)
+    witness = None if cert.separated else cert.witness  # without the fallback, not-separable
     document = {
         "holds": witness is None,
         "witness": serialize.formatter(inst)(witness) if witness is not None else None,

@@ -19,25 +19,44 @@ answers on the scalars.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DimensionError
+from .errors import DimensionError, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# Fraction() builds the whole number a string spells out, so "1e-20000"
+# costs a 66k-bit denominator and a larger exponent stalls the parse; the
+# size of a scalar string is bounded before Fraction sees it.
+MAX_SCALAR_DIGITS = 300
+MAX_SCALAR_EXPONENT = 300
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)")
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact scalar in [0, 1].
 
     Floats are rejected: their binary expansions silently differ from the
-    decimals they print as.
+    decimals they print as.  A string of more than MAX_SCALAR_DIGITS digits
+    or an exponent past ±MAX_SCALAR_EXPONENT is a ParseError.
     """
     if isinstance(value, float):
         raise TypeError("floats are inexact; pass str, int or Fraction")
+    if isinstance(value, str):
+        if len(value) > MAX_SCALAR_DIGITS:
+            digits = sum(ch.isdigit() for ch in value)
+            if digits > MAX_SCALAR_DIGITS:
+                raise ParseError(f"scalar string has {digits} digits, above the {MAX_SCALAR_DIGITS} bound")
+        if "e" in value or "E" in value:
+            for exponent in _EXPONENT.findall(value):
+                if abs(int(exponent.replace("_", ""))) > MAX_SCALAR_EXPONENT:
+                    raise ParseError(f"scalar exponent {exponent} outside ±{MAX_SCALAR_EXPONENT}")
     v = value if type(value) is Fraction else Fraction(value)
     # on the normalised numerator and the positive denominator: Fraction
     # comparisons cost far more than int ones

@@ -15,6 +15,10 @@ format holds, x0 and the coordinate i (None for the upper type).  Which
 members actually belong to the family depends on the coordinates of x0
 that sit on the cube boundary; see semispace_family.
 
+Each semispace and hemispace is a union of open half-spaces, at most one
+{x : x_o < tau} and some {x : x_m > a}; that clause form is written once, in
+clauses, and membership, misses_box, canonical_form and svg read it.
+
 Descriptors are plain containers: the kernels here take descriptors whose
 x0 is a tuple of ordered scalars (ranks in the CLI, see core) and only
 index and compare it, so the public functions pass their Fraction points
@@ -65,11 +69,10 @@ class SemispaceDescriptor:
 
     def canonical_form(self):
         """Hashable identity of the point set the descriptor denotes."""
-        x0 = tuple(self.x0)
-        if self.coordinate is None:
-            return ("S0", x0)
-        tau = x0[self.coordinate]
-        return ("Si", self.coordinate, tau, frozenset((m, a) for m, a in enumerate(x0) if a < tau))
+        below, above = clauses(self)
+        if below is None:
+            return ("S0", tuple(self.x0))
+        return ("Si", *below, frozenset(above))
 
 
 @dataclass(frozen=True)
@@ -94,39 +97,33 @@ def decode_descriptor(s: Scale, S: Descriptor) -> Descriptor:
     return replace(S, x0=s.decode(S.x0))
 
 
-def membership(S: Descriptor) -> Callable[[Ranks], bool]:
-    """The membership predicate of a rank descriptor."""
+def clauses(S: Descriptor) -> tuple[tuple[int, object] | None, list[tuple[int, object]]]:
+    """The open half-spaces whose union is S: (o, tau) for {x : x_o < tau},
+    None when S has no such clause, and the list of (m, a), one for each
+    {x : x_m > a}, in coordinate order."""
     x0 = S.x0
     if isinstance(S, HemispaceDescriptor):
-        M = sorted(S.M)
-        return lambda x: any(x[i] > x0[i] for i in M)
+        return None, [(i, x0[i]) for i in sorted(S.M)]
     o = S.coordinate
     if o is None:
-        return lambda x: any(a > b for a, b in zip(x, x0))
+        return None, list(enumerate(x0))
     tau = x0[o]
-    watched = [(m, b) for m, b in enumerate(x0) if b < tau]
-    return lambda x: x[o] < tau or any(x[m] > b for m, b in watched)
+    return (o, tau), [(m, a) for m, a in enumerate(x0) if a < tau]
+
+
+def membership(S: Descriptor) -> Callable[[Ranks], bool]:
+    """The membership predicate of a rank descriptor."""
+    below, above = clauses(S)
+    o, tau = below or (0, 0)  # x_0 < 0 holds nowhere in the cube
+    return lambda x: x[o] < tau or any(x[m] > a for m, a in above)
 
 
 def misses_box(S: Descriptor, box: Box | RankBox) -> bool:
-    """Exact emptiness of S ∩ box in closed form.
-
-    Upper type: every box point is ≤ upper, so avoidance is upper ≤ x0.
-    Index type: the box must sit at or above the threshold coordinate
-    (lower ≥ x0 there) and below x0 on every coordinate the second clause
-    watches (upper ≤ x0 on {m : x0_m < threshold}).  Hemispace: the box
-    must stay below x0 on M.
-    """
-    x0, upper = S.x0, box.upper
-    if isinstance(S, HemispaceDescriptor):
-        return all(upper[i] <= x0[i] for i in S.M)
-    o = S.coordinate
-    if o is None:
-        return all(u <= a for u, a in zip(upper, x0))
-    tau = x0[o]
-    if box.lower[o] < tau:
-        return False
-    return all(u <= a for u, a in zip(upper, x0) if a < tau)
+    """Exact emptiness of S ∩ box in closed form: the box misses each
+    half-space of S (see clauses).  It misses {x : x_o < tau} when
+    lower_o ≥ tau, and {x : x_m > a} when upper_m ≤ a."""
+    below, above = clauses(S)
+    return (below is None or box.lower[below[0]] >= below[1]) and all(box.upper[m] <= a for m, a in above)
 
 
 def first_outside(gens: tuple[Ranks, ...], S: Descriptor) -> Ranks | None:

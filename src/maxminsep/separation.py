@@ -19,9 +19,9 @@ defensively: containment of the set and emptiness against the box.  A
 broken invariant raises InternalError naming the stage and the number of
 sweeps traced so far.
 
-separate, upper_profile and lower_stages are the algorithms, on tuples of any
-ordered scalars with a given top (see core); separate_box and box_profile run
-them on the exact coordinates with top 1, and lower_partition is lower_stages.
+separate, upper_profile and lower_partition are the algorithms, on tuples of
+any ordered scalars with a given top (see core); separate_box and box_profile
+run them on the exact coordinates with top 1.
 """
 from __future__ import annotations
 
@@ -110,8 +110,12 @@ class SeparationCertificate:
     outcome: str
     separator: Descriptor | None
     witness: Point | Ranks | None
-    oracle_calls: int
     trace: tuple[TraceEntry, ...]
+
+    @property
+    def oracle_calls(self) -> int:
+        """The containment sweeps spent: one per trace entry."""
+        return len(self.trace)
 
     @property
     def separated(self) -> bool:
@@ -139,7 +143,7 @@ def upper_profile(box: Box | RankBox) -> BoxProfile:
     return BoxProfile(upper_perm=perm, t=t, l=l, u=_unsort(perm, [peak] * t + ups[t:]))
 
 
-def lower_stages(box: Box | RankBox) -> PartitionProfile:
+def lower_partition(box: Box | RankBox) -> PartitionProfile:
     """Partition the lower-sorted positions into stages of one level each.
 
     With lower bounds sorted descending, stage k takes the smallest
@@ -234,7 +238,7 @@ def separate(
         return w
 
     def done(outcome, separator=None, witness=None):
-        return SeparationCertificate(outcome, separator, witness, len(trace), tuple(trace))
+        return SeparationCertificate(outcome, separator, witness, tuple(trace))
 
     profile = upper_profile(box)
     if all(v < top for v in upper):
@@ -246,7 +250,7 @@ def separate(
     if y is None:
         return done(SEMISPACE, S)
 
-    part = lower_stages(box)
+    part = lower_partition(box)
     perm = part.lower_perm
     lows = [lower[o] for o in perm]
     ups = [upper[o] for o in perm]
@@ -301,15 +305,11 @@ def decode_certificate(scale: Scale, cert: SeparationCertificate) -> SeparationC
         cert.outcome,
         None if cert.separator is None else decode_descriptor(scale, cert.separator),
         point(cert.witness),
-        cert.oracle_calls,
         tuple(
             replace(e, candidate=decode_descriptor(scale, e.candidate), witness=point(e.witness))
             for e in cert.trace
         ),
     )
-
-
-lower_partition = lower_stages
 
 
 def box_profile(B: Box) -> BoxProfile:

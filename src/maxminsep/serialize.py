@@ -19,13 +19,12 @@ rank once.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Callable
 
-from .core import Point, RankBox, Ranks, Scale, as_scalar
+from .core import MAX_SCALAR_DIGITS, Point, RankBox, Ranks, Scale, as_scalar
 from .errors import DimensionError, ParseError
 from .semispaces import Descriptor, HemispaceDescriptor, SemispaceDescriptor, decode_descriptor
 
@@ -35,26 +34,11 @@ if TYPE_CHECKING:  # for annotations; the Fraction readers import convex when ca
     from .separation import SeparationCertificate, TraceEntry
 
 
-# Fraction() builds the whole number a string spells out, so "1e-20000"
-# costs a 66k-bit denominator and a larger exponent stalls the parse; the
-# size of a scalar string is bounded before Fraction sees it.
-MAX_SCALAR_DIGITS = 300
-MAX_SCALAR_EXPONENT = 300
-_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)")
-
-
 def parse_scalar(text: str) -> Fraction:
-    """Exact scalar in [0, 1] from a decimal or fraction string."""
+    """Exact scalar in [0, 1] from a decimal or fraction string, within the
+    size bounds of core.as_scalar."""
     if not isinstance(text, str):
         raise ParseError(f"scalar must be a string, got {type(text).__name__}")
-    if len(text) > MAX_SCALAR_DIGITS:
-        digits = sum(ch.isdigit() for ch in text)
-        if digits > MAX_SCALAR_DIGITS:
-            raise ParseError(f"scalar string has {digits} digits, above the {MAX_SCALAR_DIGITS} bound")
-    if "e" in text or "E" in text:
-        for exponent in _EXPONENT.findall(text):
-            if abs(int(exponent.replace("_", ""))) > MAX_SCALAR_EXPONENT:
-                raise ParseError(f"scalar exponent {exponent} outside ±{MAX_SCALAR_EXPONENT}")
     try:
         return as_scalar(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -244,43 +228,33 @@ def descriptor_from_dict(data) -> Descriptor:
 
 
 @dataclass(frozen=True)
-class Options:
-    """Instance-level knobs: referee grid denominator and fallback toggle."""
-
-    grid: int = 10
-    fallback: bool = True
-
-
-@dataclass(frozen=True)
 class Instance:
     """One problem instance: a cube dimension, an optional box, named
-    generated sets in document order, and options.  A point is a tuple of
-    scalar strings (read_instance) or a tuple of ranks of `scale`
-    (on_ranks); scale is None unless on ranks."""
+    generated sets in document order, and the options (the referee's grid
+    denominator, the hemispace fallback), whose defaults are the wire's.  A
+    point is a tuple of scalar strings (read_instance) or a tuple of ranks
+    of `scale` (on_ranks); scale is None unless on ranks."""
 
     dimension: int
     box: tuple | None
     sets: dict[str, tuple] = field(default_factory=dict)
-    options: Options = Options()
+    grid: int = 10
+    fallback: bool = True
     scale: Scale | None = None
-
-    def set_list(self) -> list:
-        return list(self.sets.values())
 
 
 def single_set(inst: Instance):
     """The instance's first generated set; a point is strings or ranks."""
     if not inst.sets:
         raise ParseError("the instance defines no generated set")
-    return inst.set_list()[0]
+    return next(iter(inst.sets.values()))
 
 
 def two_sets(inst: Instance):
     """The instance's first two generated sets, in document order, points as in single_set."""
     if len(inst.sets) < 2:
         raise ParseError("two generated sets are required, in document order")
-    first, second = inst.set_list()[:2]
-    return first, second
+    return tuple(inst.sets.values())[:2]
 
 
 def at_dimension(n: int, p: tuple) -> None:
@@ -321,13 +295,13 @@ def read_instance(data, table: ScalarTable) -> Instance:
     unknown = set(raw) - {"grid", "fallback"}
     if unknown:
         raise ParseError(f"unknown options: {sorted(unknown)}")
-    grid = json_int(raw.get("grid", 10), "options.grid")
+    grid = json_int(raw.get("grid", Instance.grid), "options.grid")
     if grid < 1:
         raise ParseError("options.grid must be a positive integer")
-    fallback = raw.get("fallback", True)
+    fallback = raw.get("fallback", Instance.fallback)
     if not isinstance(fallback, bool):
         raise ParseError(f"options.fallback must be a JSON boolean, got {fallback!r}")
-    return Instance(dimension=n, box=box, sets=sets, options=Options(grid, fallback))
+    return Instance(n, box, sets, grid, fallback)
 
 
 def on_ranks(inst: Instance, table: ScalarTable, scale: Scale | None = None) -> Instance:
@@ -340,7 +314,7 @@ def on_ranks(inst: Instance, table: ScalarTable, scale: Scale | None = None) -> 
     code = table.encode
     box = None if inst.box is None else RankBox(code(inst.box[0]), code(inst.box[1]))
     sets = {name: tuple(map(code, gens)) for name, gens in inst.sets.items()}
-    return Instance(inst.dimension, box, sets, inst.options, scale)
+    return replace(inst, box=box, sets=sets, scale=scale)
 
 
 def instance_from_dict(data) -> Instance:
@@ -363,7 +337,7 @@ def instance_to_dict(inst: Instance, fmt: Callable | None = None) -> dict:
         "dimension": inst.dimension,
         "box": box_to_dict(inst.box, fmt) if inst.box is not None else None,
         "sets": {name: [fmt(v) for v in gens] for name, gens in inst.sets.items()},
-        "options": {"grid": inst.options.grid, "fallback": inst.options.fallback},
+        "options": {"grid": inst.grid, "fallback": inst.fallback},
     }
 
 

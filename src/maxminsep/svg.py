@@ -8,12 +8,13 @@ The y axis is flipped so the origin sits at the bottom-left.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from . import serialize
 from .convex import in_hull
 from .errors import ParseError
 from .oracle import Grid, RankGrid
-from .semispaces import Descriptor, HemispaceDescriptor
+from .semispaces import Descriptor, clauses
 
 _SET_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -36,21 +37,14 @@ def _rect(x0, y0, x1, y1, style: str) -> str:
     )
 
 
-def _halfplane_strips(S: Descriptor, x0: tuple, top: int) -> list[tuple]:
-    """Axis-parallel strips on ranks whose union is S with rank point x0."""
-    strips = []
-    if isinstance(S, HemispaceDescriptor):
-        watched = sorted(S.M)
-    elif S.coordinate is None:
-        watched = range(len(x0))
-    else:
-        o = S.coordinate
-        tau = x0[o]
-        strips.append((0, 0, tau, top) if o == 0 else (0, 0, top, tau))
-        watched = [m for m in range(len(x0)) if x0[m] < tau]
-    for m in watched:
-        theta = x0[m]
-        strips.append((theta, 0, top, top) if m == 0 else (0, theta, top, top))
+def _halfplane_strips(S: Descriptor, top: int) -> list[tuple]:
+    """Axis-parallel strips on ranks, one for each half-space of the rank
+    descriptor S (see semispaces.clauses); their union is S."""
+    below, above = clauses(S)
+    strips = [(a, 0, top, top) if m == 0 else (0, a, top, top) for m, a in above]
+    if below is not None:
+        o, tau = below
+        strips.insert(0, (0, 0, tau, top) if o == 0 else (0, 0, top, tau))
     return strips
 
 
@@ -71,7 +65,7 @@ def render_scene(instance: dict, certificate: dict | None = None, grid: int | No
     if certificate.get("box") is not None:
         corners = serialize.read_box(certificate["box"], table)
         serialize.at_dimension(2, corners[0])
-    sampled = Grid(inst.options.grid if grid is None else grid, 2)
+    sampled = Grid(inst.grid if grid is None else grid, 2)
     # numbered, and guarded, only when a hull is sampled: a scene without sets draws at any grid
     inst = serialize.on_ranks(inst, table, RankGrid(sampled, table.parsed.values()) if inst.sets else None)
     scale, top = inst.scale, inst.scale.top
@@ -98,7 +92,7 @@ def render_scene(instance: dict, certificate: dict | None = None, grid: int | No
         'stroke-width="0.004"/>',
     ]
     if separator is not None:
-        for strip in _halfplane_strips(separator, table.encode(separator.x0), top):
+        for strip in _halfplane_strips(replace(separator, x0=table.encode(separator.x0)), top):
             parts.append(rect(strip, 'fill="#ffd54f" fill-opacity="0.45"'))
     if inst.box is not None:
         parts.append(box(inst.box, 'fill="#9e9e9e" fill-opacity="0.35"', 'stroke="#212121" stroke-width="0.006"'))

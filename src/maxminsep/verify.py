@@ -138,7 +138,7 @@ def check_certificate(data: dict, grid_denominator: int | None) -> dict:
         raise ParseError("certificate files carry their instance")
     table = serialize.ScalarTable()
     inst = serialize.read_instance(data["instance"], table)
-    d = inst.options.grid if grid_denominator is None else grid_denominator
+    d = inst.grid if grid_denominator is None else grid_denominator
     grid = Grid(d, inst.dimension)
     checks: list[dict] = []
     kind = data.get("kind")

@@ -1,15 +1,21 @@
 """Scalars, points, and the segment membership primitive."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxminsep
 from maxminsep import (
     ONE,
     ZERO,
     DimensionError,
     Grid,
+    ParseError,
     Point,
     as_scalar,
     greatest_meet_coefficient,
@@ -44,6 +50,36 @@ class TestAsScalar:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             as_scalar(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1e-999999", "scalar exponent -999999 outside ±300"),
+            ("0." + "3" * 400, "scalar string has 401 digits, above the 300 bound"),
+        ],
+        ids=["exponent", "digits"],
+    )
+    def test_rejects_oversized_strings_like_the_json_reader(self, bad, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            as_scalar(bad)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            Point.of(bad, "0.5")
+
+    def test_point_parse_refuses_a_huge_exponent_at_once(self):
+        # unbounded, Fraction("1e-99999999") builds a hundred-million-digit
+        # denominator; the child imports the same package as this test
+        src = str(Path(maxminsep.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "from maxminsep import ParseError, Point\n"
+            "try:\n    Point.parse('1e-99999999,0.5')\n"
+            "except ParseError as exc:\n    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "scalar exponent -99999999 outside ±300\n")
 
 
 class TestScale:

@@ -59,7 +59,7 @@ def _pair_instances(r: random.Random):
         }
         doc = {"dimension": 2, "sets": sets}
         inst = instance_from_dict(doc)
-        if hulls_common_point(*inst.set_list(), inst.scale.top) is None:
+        if hulls_common_point(*inst.sets.values(), inst.scale.top) is None:
             out.append(doc)
     return out
 

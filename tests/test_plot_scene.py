@@ -3,17 +3,22 @@
 Where test_plot_golden.py pins the bytes, these tests read each scene back
 into cube coordinates: the hull squares sit exactly at the grid points that
 hull_contains accepts, the instance box and the certificate box are each
-drawn once and where they are, and a degenerate box is drawn as a line (a
-segment) or a circle (a point).
+drawn once and where they are, a degenerate box is drawn as a line (a
+segment) or a circle (a point), and the strips of a separator cover exactly
+the points of its semispace.
 """
+import itertools
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from maxminsep import Grid
 from maxminsep.cli import main
+from maxminsep.oracle import semispace
+from maxminsep.serialize import descriptor_from_dict
 
 from helpers import gset, hull_grid_points
 from test_cli import BLOCKED, SEPARABLE, TWO_SETS, write_instance
@@ -21,6 +26,7 @@ from test_cli import BLOCKED, SEPARABLE, TWO_SETS, write_instance
 SVG = "{http://www.w3.org/2000/svg}"
 DASHED = "stroke-dasharray"
 INSTANCE_BOX_STROKE = "#212121"
+STRIP_FILL = "#ffd54f"
 
 # the first set is a single point, so the box around it is a point box
 POINT_BOXED = {
@@ -130,3 +136,26 @@ def test_segment_box_of_an_instance_is_a_line(tmp_path, capsys):
     (line,) = shapes(root, stroke=INSTANCE_BOX_STROKE)
     assert line.tag == SVG + "line"
     assert [line.get(k) for k in ("x1", "y1", "x2", "y2")] == ["0.2000", "0.7000", "0.8000", "0.7000"]
+
+
+@pytest.mark.parametrize(
+    "instance, command, kind",
+    [
+        (SEPARABLE, ["separate-box"], ("S0", False)),
+        (BLOCKED, ["separate-box"], ("S0", True)),
+        (TWO_SETS, ["separate-2d", "--with-semispace"], ("Si", False)),
+    ],
+    ids=["upper-type", "hemispace", "coordinate"],
+)
+def test_separator_strips_cover_exactly_its_semispace(tmp_path, capsys, instance, command, kind):
+    root, certificate = draw(tmp_path, capsys, instance, command)
+    document = certificate.get("separator") or certificate["semispace"]
+    assert (document["type"], "M" in document) == kind
+    S = descriptor_from_dict(document)
+    member = semispace(replace(S, x0=tuple(map(float, S.x0))))
+    strips = [corners(e) for e in shapes(root, fill=STRIP_FILL)]
+    # the strip edges sit on multiples of 1/40, so no midpoint is on one
+    midpoints = [(k + 0.5) / 40 for k in range(40)]
+    for p in itertools.product(midpoints, repeat=2):
+        drawn = any(lo[0] < p[0] < hi[0] and lo[1] < p[1] < hi[1] for lo, hi in strips)
+        assert drawn == member(p), p

@@ -31,7 +31,7 @@ from maxminsep.convex import hulls_common_point
 from maxminsep.core import RankBox
 from maxminsep.planar import PlanarBoxCertificate, box_and_semispace, box_one_set
 from maxminsep.semispaces import decode_descriptor
-from maxminsep.separation import decode_certificate, lower_stages, separate, upper_profile
+from maxminsep.separation import decode_certificate, separate, upper_profile
 from helpers import scale_of
 
 D = 8
@@ -164,7 +164,7 @@ def test_box_functions_match_their_kernels_on_ranks(data, n, pinned):
         assert answer(separate_box, B, C, with_fallback=fallback) == answer(separate_on_ranks, s, ranked, gens, fallback)
     profile = upper_profile(ranked)
     assert box_profile(B) == replace(profile, u=s.decode(profile.u))
-    part = lower_stages(ranked)
+    part = lower_partition(ranked)
     stages = tuple(replace(stage, level=s.values[stage.level]) for stage in part.stages)
     assert lower_partition(B) == replace(part, stages=stages)
 

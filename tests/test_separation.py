@@ -204,7 +204,7 @@ class TestSeparateBoxExamples:
         # a rank box with a lower bound above its upper bound breaks the
         # invariant the partition relies on
         with pytest.raises(InternalError) as err:
-            separation.lower_stages(RankBox(lower, upper))
+            separation.lower_partition(RankBox(lower, upper))
         assert str(err.value) == expected
 
 
@@ -310,7 +310,7 @@ class TestBandRounds:
     @settings(max_examples=200, deadline=None)
     def test_thresholds_fall_strictly_to_one(self, case):
         _, box, _ = case
-        thresholds = [stage.s for stage in separation.lower_stages(box).stages]
+        thresholds = [stage.s for stage in separation.lower_partition(box).stages]
         assert thresholds[-1] == 1
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
 
@@ -327,7 +327,7 @@ class TestBandRounds:
             if e.stage == 3:
                 rounds.setdefault(e.iteration, []).append(e.position)
         target(float(len(rounds)))
-        thresholds = [stage.s for stage in separation.lower_stages(box).stages]
+        thresholds = [stage.s for stage in separation.lower_partition(box).stages]
         ends = [len(box.lower) + 1, *thresholds]  # ends[k] closes the band of stage k
         ks = []
         for _, positions in sorted(rounds.items()):

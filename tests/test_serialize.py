@@ -16,7 +16,6 @@ from maxminsep import (
 from maxminsep.planar import box_one_set
 from maxminsep.separation import separate
 from maxminsep.serialize import (
-    Options,
     ScalarTable,
     box_from_dict,
     box_to_dict,
@@ -298,21 +297,21 @@ class TestInstances:
         assert inst.dimension == 2
         assert Box(*map(decode, inst.box)) == box("0.2,0.3", "0.9,0.5")
         assert tuple(map(decode, inst.sets["C"])) == gset("0.4,0.8", "0.1,0.2").generators
-        assert inst.options == Options(grid=8, fallback=False)
+        assert (inst.grid, inst.fallback) == (8, False)
 
     def test_defaults(self):
         inst = instance_from_dict({"dimension": 3, "box": None, "sets": {}})
         assert inst.box is None
-        assert inst.options == Options(grid=10, fallback=True)
+        assert (inst.grid, inst.fallback) == (10, True)
 
-    def test_set_list_preserves_document_order(self):
+    def test_sets_preserve_document_order(self):
         inst = instance_from_dict(
             {
                 "dimension": 1,
                 "sets": {"B": [["0.2"]], "A": [["0.7"]]},
             }
         )
-        assert [tuple(map(inst.scale.decode, gens)) for gens in inst.set_list()] == [
+        assert [tuple(map(inst.scale.decode, gens)) for gens in inst.sets.values()] == [
             gset("0.2").generators, gset("0.7").generators
         ]
 
@@ -406,7 +405,7 @@ class TestCertificates:
     def test_two_set_certificate_embeds_instance(self):
         sets = {"C1": [["0.55", "0.65"], ["0.85", "0.95"]], "C2": [["0.2", "0.3"], ["0.4", "0.2"]]}
         inst = instance_from_dict({"dimension": 2, "sets": sets})
-        data = planar_certificate_to_dict(box_one_set(inst.scale, *inst.set_list()), inst)
+        data = planar_certificate_to_dict(box_one_set(inst.scale, *inst.sets.values()), inst)
         expected = separate_two_sets(set_from_list(sets["C1"]), set_from_list(sets["C2"]))
         assert data["kind"] == "two-set"
         assert data["instance"]["sets"] == sets

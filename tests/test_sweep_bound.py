@@ -1,5 +1,7 @@
 """The n+1 sweep bound is attained: instances on which separate-box spends
-exactly n+1 containment sweeps, and whose certificates verify.
+exactly n+1 containment sweeps, and whose certificates verify.  On these
+instances and the box instances of test_cli.py, check-cond answers as
+separate-box --no-fallback does.
 
 Every scalar is k/12; each instance is listed by its numerators k.  The
 instances were found by a seeded hill-climb with n generators: it moves one
@@ -14,7 +16,7 @@ import pytest
 from maxminsep.cli import main
 from maxminsep.oracle import MAX_GRID_POINTS
 
-from test_cli import write_instance
+from test_cli import BLOCKED, ESCAPING, OFF_GRID, SEPARABLE, run, write_instance
 
 # (lower, upper, generators, stages of the trace)
 SEMISPACE_AT_N_PLUS_1 = [
@@ -157,3 +159,24 @@ def test_hemispace_spends_n_plus_1_sweeps(tmp_path, capsys, lower, upper, gens, 
     assert cert["outcome"] == "hemispace"
     assert cert["oracle_calls"] == len(cert["trace"]) == len(lower) + 1
     assert [entry["stage"] for entry in cert["trace"]] == stages
+
+
+BOX_INSTANCES = {
+    "separable": SEPARABLE,
+    "blocked": BLOCKED,
+    "escaping": ESCAPING,
+    "off-grid": OFF_GRID,
+    **{f"semispace-n{len(c[0])}": instance(*c[:3]) for c in SEMISPACE_AT_N_PLUS_1},
+    **{f"hemispace-n{len(c[0])}": instance(*c[:3]) for c in HEMISPACE_AT_N_PLUS_1},
+}
+
+
+@pytest.mark.parametrize("data", BOX_INSTANCES.values(), ids=BOX_INSTANCES.keys())
+def test_check_cond_agrees_with_separate_box_without_fallback(tmp_path, capsys, data):
+    path = write_instance(tmp_path, data)
+    code, out, _ = run(capsys, ["separate-box", "-i", path, "--no-fallback"])
+    cond_code, cond_out, _ = run(capsys, ["check-cond", "-i", path])
+    cert, cond = json.loads(out), json.loads(cond_out)
+    assert cond["holds"] == (cert["outcome"] != "not-separable")
+    assert cond["witness"] == cert["witness"]
+    assert code == cond_code and code in (0, 2)
