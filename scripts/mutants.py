@@ -246,6 +246,25 @@ MUTANTS = (
             "tests/test_cli.py::TestVerify::test_widened_two_set_box_names_its_failing_points",
         ),
     ),
+    # the complement of a separator, which bounds the hull-side sweep
+    Mutant(
+        "outside-caps-the-block-at-tau", "oracle.py",
+        "tuple(a if a < tau else top for a in x0)", "tuple(a if a <= tau else top for a in x0)",
+        "the complement of a coordinate semispace stops at tau on its threshold block",
+        (
+            "tests/test_oracle.py::TestOutside",
+            "tests/test_oracle.py::TestHullSweep::test_failing_sweep_names_the_reference_point",
+        ),
+    ),
+    Mutant(
+        "outside-hemispace-caps-every-coordinate", "oracle.py",
+        "tuple(a if i in S.M else top for i, a in enumerate(x0))", "tuple(x0)",
+        "the complement of a hemispace stops at x0 outside M too",
+        (
+            "tests/test_oracle.py::TestOutside",
+            "tests/test_oracle.py::TestHullSweep::test_failing_sweep_names_the_reference_point",
+        ),
+    ),
     # the library code the referee still shares: each is killed by worked
     # examples and differential tests, not only by byte-golden ones
     Mutant(

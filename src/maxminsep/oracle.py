@@ -17,8 +17,10 @@ ranks of the point it finds.
 Each sweep enumerates a region, not the whole grid: box-side sweeps the grid
 points inside the box, hull-side sweeps those inside the bounding box of the
 generators (which holds the hull), intersected with the box when both
-apply.  Within a region the order stays lexicographic, so a sweep returns
-the same first offending point a sweep over the whole grid would.
+apply, or with the separator's complement when the sweep looks for a hull
+point outside it: that complement is a box too (outside).  Within a region
+the order stays lexicographic, so a sweep returns the same first offending
+point a sweep over the whole grid would.
 
 The membership tests here are written out on ranks and share no code with
 the library they referee: hull membership checks the principal solution
@@ -139,6 +141,22 @@ def semispace(S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks],
         M = sorted(S.M)
         return lambda y: any(y[i] > x0[i] for i in M)
     return _semispace_member(x0, S.coordinate)
+
+
+def outside(S: SemispaceDescriptor | HemispaceDescriptor, top: int) -> RankBox:
+    """The complement of a semispace or a hemispace with rank x0, on ranks
+    whose 1 is `top`.  Each clause of semispace and _semispace_member is an
+    open half-space y_o < tau or y_m > x0_m, so the points no clause holds
+    form the closed box y_o >= tau, y_m <= x0_m."""
+    x0 = S.x0
+    if isinstance(S, HemispaceDescriptor):
+        return RankBox((0,) * len(x0), tuple(a if i in S.M else top for i, a in enumerate(x0)))
+    o = S.coordinate
+    if o is None:
+        return RankBox((0,) * len(x0), x0)
+    tau = x0[o]
+    lower = tuple(tau if i == o else 0 for i in range(len(x0)))
+    return RankBox(lower, tuple(a if a < tau else top for a in x0))
 
 
 def _misses(in_S: Callable[[Ranks], bool], box: RankBox) -> bool:

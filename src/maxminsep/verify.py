@@ -16,7 +16,7 @@ from . import serialize
 from .convex import box_hull_point
 from .core import RankBox, Ranks, Scale, leq
 from .errors import IntersectionError, ParseError
-from .oracle import Grid, RankGrid, _misses, exact_separator, hull, semispace, span
+from .oracle import Grid, RankGrid, _misses, exact_separator, hull, outside, semispace, span
 from .semispaces import HemispaceDescriptor
 from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE, upper_profile
 
@@ -85,13 +85,14 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
                 x0 = box.upper
         _sweep(checks, "no grid semispace separates", x0, scale)
         return
-    in_S = semispace(replace(S, x0=table.encode(S.x0)))
+    S = replace(S, x0=table.encode(S.x0))
+    in_S = semispace(S)
     _check(checks, "set inside separator", all(map(in_S, gens)))
     _check(checks, "separator misses box", _misses(in_S, box))
     _sweep(
         checks,
         "grid hull points inside separator",
-        scale.first(lambda y: not in_S(y) and in_hull(y), span(gens)),
+        scale.first(lambda y: not in_S(y) and in_hull(y), span(gens), outside(S, scale.top)),
         scale,
     )
     if not hemispace:

@@ -2,7 +2,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,9 +27,11 @@ from maxminsep import (
     separate_box,
     set_in_semispace,
 )
-from maxminsep.core import RankBox
-from maxminsep.oracle import RankGrid, _misses, _semispace_member, exact_separator, hull, semispace, span
+from maxminsep.core import RankBox, leq
+from maxminsep.oracle import RankGrid, _misses, _semispace_member, exact_separator, hull, outside, semispace, span
 from maxminsep.semispaces import misses_box
+from maxminsep.serialize import box_to_dict, descriptor_to_dict, set_to_list
+from maxminsep.verify import check_certificate
 from helpers import (
     _misses_box,
     box,
@@ -217,10 +219,12 @@ class TestRankGridDifferential:
             )
             for S in [*semispace_family(x0), H]:
                 member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
-                in_S = semispace(replace(S, x0=rg.encode(S.x0)))
-                assert _first(rg, lambda y: not in_S(y) and in_hull(y), span(gens)) == _reference_first(
-                    grid, lambda p: hull_contains(C, p) and not member(S, p)
-                )
+                rank_S = replace(S, x0=rg.encode(S.x0))
+                in_S = semispace(rank_S)
+                expected = _reference_first(grid, lambda p: hull_contains(C, p) and not member(S, p))
+                offending = lambda y: not in_S(y) and in_hull(y)
+                assert _first(rg, offending, span(gens)) == expected
+                assert _first(rg, offending, span(gens), outside(rank_S, rg.top)) == expected
                 assert _first(rg, in_S, rank_box) == _reference_first(
                     grid, lambda p: B.contains_point(p) and member(S, p)
                 )
@@ -258,6 +262,84 @@ class TestRankGridDifferential:
             RankGrid(grid, pairs_of(corner))
         with pytest.raises(ResourceLimitError):
             first_grid_separator(Box(corner, corner), GeneratedConvexSet((corner,)), grid)
+
+
+class TestOutside:
+    """outside(S, top) is the complement of S, on every rank point of the
+    cube: x0 coordinates at 0 (a coordinate semispace that is empty) and at
+    the top included."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_is_exactly_the_complement(self, n):
+        top = 4
+        cube = list(product(range(top + 1), repeat=n))
+        subsets = [frozenset(M) for k in range(n + 1) for M in combinations(range(n), k)]
+        for x0 in cube:
+            for S in [
+                *(SemispaceDescriptor(x0, o) for o in (None, *range(n))),
+                *(HemispaceDescriptor(x0, M) for M in subsets),
+            ]:
+                in_S = semispace(S)
+                lower, upper = outside(S, top)
+                assert [not in_S(y) for y in cube] == [leq(lower, y) and leq(y, upper) for y in cube], S
+
+
+def _certificate_doc(B, C, S, outcome):
+    """A box certificate document claiming S separates B from C."""
+    instance = {"dimension": B.dim, "box": box_to_dict(B), "sets": {"C": set_to_list(C)}}
+    return {"kind": "box", "instance": instance, "outcome": outcome, "separator": descriptor_to_dict(S)}
+
+
+def _hull_sweep(report):
+    return next(c for c in report["checks"] if c["check"] == "grid hull points inside separator")
+
+
+class TestHullSweep:
+    """The hull-side check of a semispace or hemispace certificate, run by
+    verify on a grid that may not hold the instance's scalars."""
+
+    @pytest.mark.parametrize("kind", ("semispace", "hemispace"))
+    def test_failing_sweep_names_the_reference_point(self, kind):
+        r = random.Random(f"hull sweep {kind}")
+        failures = 0
+        for k in range(120):
+            n, (den, d) = 2 + k % 3, ((4, 4), (6, 4), (12, 3))[k // 3 % 3]
+            B, C = _random_instance(r, n, den)
+            x0 = Point(tuple(Fraction(r.randrange(den + 1), den) for _ in range(n)))
+            if kind == "semispace":
+                S, member = r.choice(semispace_family(x0)), semispace_contains
+            else:
+                S, member = HemispaceDescriptor(x0, {i for i in range(n) if r.random() < 0.6}), hemispace_contains
+            check = _hull_sweep(check_certificate(_certificate_doc(B, C, S, kind), d))
+            expected = _reference_first(Grid(d, n), lambda p: hull_contains(C, p) and not member(S, p))
+            assert check["ok"] == (expected is None)
+            if expected is not None:
+                assert Point(tuple(map(Fraction, check["point"]))) == expected
+                failures += 1
+        assert failures >= 10
+
+    def test_sweeps_only_the_hull_points_outside_the_separator(self, monkeypatch):
+        # a valid certificate, so the hull sweep runs through its whole region
+        B, C = box("0.6,0.1,0.5", "0.9,0.3,0.8"), gset("0.2,0.2,0.5", "0.9,0.6,0.3")
+        S = SemispaceDescriptor(pt("0.5,0.3,0.8"), 0)
+        swept = []
+        sweep = RankGrid.first
+
+        def counting(self, offending, *regions):
+            def counted(y):
+                swept[-1] += 1
+                return offending(y)
+
+            swept.append(0)
+            return sweep(self, counted, *regions)
+
+        monkeypatch.setattr(RankGrid, "first", counting)
+        assert check_certificate(_certificate_doc(B, C, S, "semispace"), 10)["valid"]
+        span_C = Box(Point(tuple(map(min, *C.generators))), Point(tuple(map(max, *C.generators))))
+        spanned = [p for p in Grid(10, 3).points() if span_C.contains_point(p)]
+        region = [p for p in spanned if not semispace_contains(S, p)]
+        # verify sweeps the hull side first, then the box
+        assert 0 < swept[0] == len(region) < len(spanned)
 
 
 @st.composite
