@@ -151,6 +151,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "box-one-set-skips-the-descent", "planar.py",
+        "    shared = hulls_common_point(gens1, gens2, top)\n", "    shared = None\n",
+        "two planar sets whose hulls meet raise ExhaustionError, not IntersectionError with a common point",
+        (
+            "tests/test_planar.py::TestSeparateTwoSets::test_intersecting_hulls_are_rejected",
+            "tests/test_planar.py::TestSeparateTwoSets::test_intersecting_hulls_name_the_descent_point",
+        ),
+    ),
+    Mutant(
         "box-semispace-drops-a-generator", "planar.py",
         "box_and_semispace(EXACT, C1.coords, C2.coords)",
         "box_and_semispace(EXACT, C1.coords, C2.coords[1:] or C2.coords)",
@@ -179,11 +188,21 @@ MUTANTS = (
         "the hemispace fallback never holds the set",
         ("tests/test_cli.py::TestSeparateBox::test_fallback_reaches_hemispace",),
     ),
-    # the band rounds of separate: the stage a round reads, the union of the
-    # earlier stages' members, and the round's positions
+    # the lower partition in closed form, and the band rounds of separate:
+    # the stage a round reads, the earlier stages' positions, and the
+    # round's positions
+    Mutant(
+        "partition-counts-equal-bounds", "separation.py",
+        "bisect_right(ascending, box.upper[o])", "bisect_left(ascending, box.upper[o])",
+        "a position's threshold also counts the lower bounds equal to its upper bound",
+        (
+            "tests/test_separation.py::TestLowerPartition::test_matches_the_restart_scan_on_small_rank_boxes",
+            "tests/test_separation.py::TestLowerPartition::test_level_property",
+        ),
+    ),
     Mutant(
         "band-lookup-strict", "separation.py",
-        "band[0].s <= failing[-1])", "band[0].s < failing[-1])",
+        "st.s <= failing[-1])", "st.s < failing[-1])",
         "a round whose rightmost failing position is its stage's threshold reads the next stage",
         (
             "tests/test_separation.py::TestBandRounds",
@@ -191,9 +210,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "band-prior-not-accumulated", "separation.py",
-        "frozenset.union, initial=frozenset())", "lambda prior, members: prior, initial=frozenset())",
-        "every round's candidates watch no earlier stage's members",
+        "band-prior-holds-the-threshold-bound", "separation.py",
+        "ups[q - 1] if ups[q - 1] < bound else", "ups[q - 1] if ups[q - 1] <= bound else",
+        "a round's candidates also watch the positions of its own stage whose upper bound is lows[s - 1]",
         (
             "tests/test_separation.py::TestSeparateBoxProperties::test_agrees_with_brute_search",
             "tests/test_box_condition.py::test_condition_decides_separability_on_sixths",

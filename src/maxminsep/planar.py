@@ -78,18 +78,19 @@ def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
     Returns the first of the two sets' bounding boxes, in that order, that
     misses the other set's hull.  No other box can win: a box around a set
     contains its bounding box, so it meets the other hull whenever the
-    bounding box does.
+    bounding box does.  Each box holds every common point of the hulls, so
+    the descent that names one runs only when both fail.
     """
     _require_planar(gens1, gens2)
     top = scale.top
-    shared = hulls_common_point(gens1, gens2, top)
-    if shared is not None:
-        point = scale.decode(shared)
-        raise IntersectionError(f"the hulls share the point {point}", witness=point)
     for which, inner, other in ((1, gens1, gens2), (2, gens2, gens1)):
         box = bounds(inner)
         if box_hull_point(box, other, top) is None:
             return PlanarBoxCertificate(boxed_set=which, box=box)
+    shared = hulls_common_point(gens1, gens2, top)
+    if shared is not None:
+        point = scale.decode(shared)
+        raise IntersectionError(f"the hulls share the point {point}", witness=point)
     raise ExhaustionError("no candidate box separates the two sets")
 
 

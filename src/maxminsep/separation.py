@@ -25,6 +25,7 @@ run them on the exact coordinates with top 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -146,49 +147,32 @@ def upper_profile(box: Box | RankBox) -> BoxProfile:
 def lower_partition(box: Box | RankBox) -> PartitionProfile:
     """Partition the lower-sorted positions into stages of one level each.
 
-    With lower bounds sorted descending, stage k takes the smallest
-    position s whose lower bound fits under every remaining upper bound
-    from s onward; positions whose upper bound falls below the lower bound
-    just before s form the stage (everything remaining once s hits 1).
-    The stage level a_k is the least upper bound among stage members, and
-    it lies inside [lower, upper] of every remaining position ≥ s.
+    With lower bounds sorted descending, position q joins the stage of
+    threshold s = 1 + c, c the number of lower bounds above ups[q]; stages
+    are listed by threshold, descending, down to 1.  A stage's level is the
+    least upper bound among its members, and it lies inside [lower, upper]
+    of every position ≥ s of its own or a later stage.
+
+    This is the partition of the right-to-left scan that takes, stage by
+    stage, the smallest s whose lower bound fits under every unplaced upper
+    bound from s on, and places the unplaced positions ≥ s whose upper
+    bound is below lows[s - 1] (all of them once s = 1).  The lower bounds
+    above ups[q] are exactly positions 1..c, all before q, because the
+    lower bounds descend and lows[q] ≤ ups[q].  The scan leaves q unplaced
+    until it reaches the threshold s whose position s - 1 holds the last
+    lower bound above ups[q], so s - 1 = c.  Position 1 always lands at s = 1.
     """
-    n = len(box.lower)
     perm = descending_order(box.lower)
-    lows = [box.lower[o] for o in perm]
-    ups = [box.upper[o] for o in perm]
-    remaining = set(range(1, n + 1))
-    stages: list[PartitionStage] = []
-
-    def fault(message):
-        return InternalError(f"lower partition {message} (partition stage {len(stages) + 1})")
-
-    for _ in range(n):
-        s = 1
-        min_up = None
-        for p in range(n, 0, -1):
-            if p in remaining:
-                min_up = ups[p - 1] if min_up is None else min(min_up, ups[p - 1])
-            if min_up is not None and lows[p - 1] > min_up:
-                s = p + 1
-                break
-        if s > n:
-            raise fault("found no feasible threshold")
-        if s == 1:
-            members = frozenset(remaining)
-        else:
-            bound = lows[s - 2]
-            members = frozenset(p for p in remaining if p >= s and ups[p - 1] < bound)
-        if not members:
-            raise fault("produced an empty stage")
-        level = min(ups[p - 1] for p in members)
-        stages.append(PartitionStage(s=s, members=members, level=level))
-        remaining -= members
-        if s == 1:
-            break
-    else:
-        raise fault("exceeded the dimension bound")
-    return PartitionProfile(lower_perm=perm, stages=tuple(stages))
+    if any(l > u for l, u in zip(box.lower, box.upper)):
+        raise InternalError("lower partition needs every lower bound at most its upper bound")
+    ascending = sorted(box.lower)
+    members: dict[int, list[int]] = {}
+    for q, o in enumerate(perm, start=1):
+        members.setdefault(len(perm) + 1 - bisect_right(ascending, box.upper[o]), []).append(q)
+    return PartitionProfile(perm, tuple(
+        PartitionStage(s, frozenset(qs), min(box.upper[perm[q - 1]] for q in qs))
+        for s, qs in sorted(members.items(), reverse=True)
+    ))
 
 
 def separate(
@@ -203,18 +187,15 @@ def separate(
     round, per failing lower-sorted position of one band (largest first)
     the semispace whose clause set is the union of the earlier partition
     stages.  A round's band is [s_k, s_(k-1)) of the first stage k whose
-    threshold s_k is ≤ the rightmost failing position: the thresholds fall
-    strictly to 1, so the bands tile positions 1..n right to left.  (Take
-    s_k > 1.  Each position q ≥ s_k left after stage k has ups[q] ≥
-    lows[s_k - 1], because the smaller ones were stage k's members, and
-    ups[p] ≥ lows[p] for every p.  So no p ≥ s_k - 1 meets the next
-    threshold, and s_(k+1) ≤ s_k - 1.)  Every failed sweep returns a
-    generator, and the join of the stage-level meets of those generators
-    with the running witness pushes the witness above the box lower bounds
-    on the whole band, so the failing band moves strictly left each round
-    and the total number of sweeps stays ≤ n+1 (hemispace fallback
-    included: positions where the witness beats the upper bound are never
-    tried).  Raises IntersectionError when box and hull share a point.
+    threshold s_k is ≤ the rightmost failing position; the thresholds of
+    lower_partition fall strictly to 1, so the bands tile positions 1..n
+    right to left.  Every failed sweep returns a generator, and the join of
+    the stage-level meets of those generators with the running witness
+    pushes the witness above the box lower bounds on the whole band, so the
+    failing band moves strictly left each round and the total number of
+    sweeps stays ≤ n+1 (hemispace fallback included: positions where the
+    witness beats the upper bound are never tried).  Raises
+    IntersectionError when box and hull share a point.
     """
     top = scale.top
     lower, upper = box
@@ -254,9 +235,6 @@ def separate(
     perm = part.lower_perm
     lows = [lower[o] for o in perm]
     ups = [upper[o] for o in perm]
-    # each stage with prior, the union of the earlier stages' members
-    priors = accumulate((st.members for st in part.stages), frozenset.union, initial=frozenset())
-    bands = list(zip(part.stages, priors))
 
     # at most one round per partition stage, plus the round that sees no
     # failing position left
@@ -264,11 +242,12 @@ def separate(
         failing = [p for p in range(1, n + 1) if y[perm[p - 1]] < lows[p - 1]]
         if not failing:
             break
-        stage, prior = next(band for band in bands if band[0].s <= failing[-1])
+        stage = next(st for st in part.stages if st.s <= failing[-1])
+        bound = lows[stage.s - 1]  # the earlier stages hold the positions whose ups are below it
         witnesses = []
         for p in [q for q in reversed(failing) if q >= stage.s]:
             u_sorted = [
-                ups[q - 1] if q in prior else (lows[q - 1] if q < p else lows[p - 1])
+                ups[q - 1] if ups[q - 1] < bound else (lows[q - 1] if q < p else lows[p - 1])
                 for q in range(1, n + 1)
             ]
             S = SemispaceDescriptor(_unsort(perm, u_sorted), perm[p - 1])

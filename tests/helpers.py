@@ -219,6 +219,34 @@ def assert_nonseparable(B: Box, C: GeneratedConvexSet, grid_step: Fraction) -> b
     return first_grid_separator(B, C, Grid(step.denominator, B.dim)) is None
 
 
+def restart_scan_partition(lower, upper) -> list[tuple[int, frozenset[int], object]]:
+    """Reference lower partition, as (threshold, members, level) per stage:
+    with lower bounds sorted descending, ties by index, each stage restarts
+    a right-to-left scan for the smallest threshold s whose lower bound fits
+    under every unplaced upper bound from s on, then places the unplaced
+    positions ≥ s whose upper bound is below the lower bound at s - 1 (all
+    of them once s = 1), at the least of their upper bounds."""
+    n = len(lower)
+    perm = sorted(range(n), key=lambda o: (-lower[o], o))
+    lows = [lower[o] for o in perm]
+    ups = [upper[o] for o in perm]
+    remaining = set(range(1, n + 1))
+    stages = []
+    while remaining:
+        s, min_up = 1, None
+        for p in range(n, 0, -1):
+            if p in remaining:
+                min_up = ups[p - 1] if min_up is None else min(min_up, ups[p - 1])
+            if min_up is not None and lows[p - 1] > min_up:
+                s = p + 1
+                break
+        members = frozenset(p for p in remaining if s == 1 or (p >= s and ups[p - 1] < lows[s - 2]))
+        assert members, f"empty stage at threshold {s}"
+        stages.append((s, members, min(ups[p - 1] for p in members)))
+        remaining -= members
+    return stages
+
+
 # Segment closures on grid index tuples: test oracles for hulls and
 # convexity, independent of the library's residuation.
 

@@ -26,6 +26,7 @@ from maxminsep import (
     separate_two_sets,
     set_in_semispace,
 )
+from maxminsep import planar
 from helpers import box, brute_is_convex, gset, pt, rand_interior_gset, rand_gset, rng
 
 
@@ -203,6 +204,29 @@ class TestSeparateTwoSets:
             separate_two_sets(gset("0.2,0.2", "0.8,0.8"), gset("0.5,0.1", "0.5,0.9"))
         w = err.value.witness
         assert w == pt("0.5,0.5")
+
+    @given(planar_sets(), planar_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_intersecting_hulls_name_the_descent_point(self, C1, C2):
+        w = hull_intersection_witness(C1, C2)
+        assume(w is not None)
+        with pytest.raises(IntersectionError) as err:
+            separate_two_sets(C1, C2)
+        assert err.value.witness == w
+
+    def test_disjoint_hulls_skip_the_descent(self, monkeypatch):
+        # a bounding box that misses the other hull already proves the
+        # hulls disjoint, so the intersection descent never runs
+        calls = []
+        monkeypatch.setattr(planar, "hulls_common_point", lambda *args: calls.append(args))
+        r = rng(23)
+        produced = 0
+        while produced < 60:
+            C1, C2 = rand_gset(r, 2, 8), rand_gset(r, 2, 8)
+            if hull_intersection_witness(C1, C2) is None:
+                produced += 1
+                separate_two_sets(C1, C2)
+        assert calls == []
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(DimensionError):

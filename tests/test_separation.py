@@ -1,4 +1,5 @@
 """The separation pipeline: profiles, partitions, certificates, referees."""
+import itertools
 import json
 from fractions import Fraction
 
@@ -32,7 +33,15 @@ from maxminsep import separation
 from maxminsep.convex import box_hull_point
 from maxminsep.core import RankBox
 from maxminsep.cli import main
-from helpers import assert_nonseparable, box, brute_separation_search, grid_scale, gset, pt
+from helpers import (
+    assert_nonseparable,
+    box,
+    brute_separation_search,
+    grid_scale,
+    gset,
+    pt,
+    restart_scan_partition,
+)
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
 coord4 = st.integers(min_value=0, max_value=4).map(lambda k: Fraction(k, 4))
@@ -99,6 +108,20 @@ class TestLowerPartition:
             (2, [2], Fraction(3, 5)),
             (1, [1, 3], Fraction(9, 10)),
         ]
+
+    def test_matches_the_restart_scan_on_small_rank_boxes(self):
+        # every rank box with n <= 4 and ranks 0..3: 10 (lower, upper) pairs
+        # per coordinate
+        pairs = [(a, b) for b in range(4) for a in range(b + 1)]
+        checked = 0
+        for n in range(1, 5):
+            for coords in itertools.product(pairs, repeat=n):
+                lower, upper = (tuple(c) for c in zip(*coords))
+                part = lower_partition(RankBox(lower, upper))
+                got = [(st.s, st.members, st.level) for st in part.stages]
+                assert got == restart_scan_partition(lower, upper), (lower, upper)
+                checked += 1
+        assert checked == 11_110
 
     @given(boxes(4))
     def test_stages_partition_the_positions(self, B):
@@ -193,19 +216,13 @@ class TestSeparateBoxExamples:
         assert main(["separate-box", "-i", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
-    @pytest.mark.parametrize(
-        "lower, upper, expected",
-        [
-            ((1,), (0,), "lower partition found no feasible threshold (partition stage 1)"),
-            ((0, 1, 2), (0, 1, 0), "lower partition produced an empty stage (partition stage 3)"),
-        ],
-    )
-    def test_partition_fault_names_its_stage(self, lower, upper, expected):
-        # a rank box with a lower bound above its upper bound breaks the
-        # invariant the partition relies on
+    @pytest.mark.parametrize("lower, upper", [((1,), (0,)), ((0, 1, 2), (0, 1, 0))])
+    def test_partition_rejects_a_lower_bound_above_its_upper_bound(self, lower, upper):
+        # the closed form counts lower bounds above each upper bound, which
+        # places a position at its stage only when lows[q] <= ups[q]
         with pytest.raises(InternalError) as err:
             separation.lower_partition(RankBox(lower, upper))
-        assert str(err.value) == expected
+        assert str(err.value) == "lower partition needs every lower bound at most its upper bound"
 
 
 class TestSeparateBoxProperties:
