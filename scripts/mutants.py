@@ -265,7 +265,18 @@ MUTANTS = (
             "tests/test_cli.py::TestVerify::test_widened_two_set_box_names_its_failing_points",
         ),
     ),
-    # the complement of a separator, which bounds the hull-side sweep
+    # the complement of a separator, the referee's one definition of a
+    # semispace or hemispace, which also bounds the hull-side sweep
+    Mutant(
+        "semispace-complement-open-below", "oracle.py",
+        "a <= c <= b for a, c, b", "a < c <= b for a, c, b",
+        "the referee's semispace also holds the points on the lower faces of its complement box",
+        (
+            "tests/test_oracle.py::TestTwoCornerRule",
+            "tests/test_oracle.py::TestExactSeparator",
+            "tests/test_cli.py::TestVerify::test_hemispace_certificate_is_valid",
+        ),
+    ),
     Mutant(
         "outside-caps-the-block-at-tau", "oracle.py",
         "tuple(a if a < tau else top for a in x0)", "tuple(a if a <= tau else top for a in x0)",

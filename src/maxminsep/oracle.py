@@ -24,8 +24,8 @@ point a sweep over the whole grid would.
 
 The membership tests here are written out on ranks and share no code with
 the library they referee: hull membership checks the principal solution
-coordinate by coordinate, semispaces and hemispaces evaluate their defining
-predicates.
+coordinate by coordinate, and a semispace or hemispace is the complement of
+the closed box outside returns.
 """
 from __future__ import annotations
 
@@ -134,20 +134,15 @@ def hull(gens: tuple[Ranks, ...], top: int) -> Callable[[Ranks], bool]:
     return member
 
 
-def semispace(S: SemispaceDescriptor | HemispaceDescriptor) -> Callable[[Ranks], bool]:
-    """Membership in a semispace or a hemispace with rank x0."""
-    x0 = S.x0
-    if isinstance(S, HemispaceDescriptor):
-        M = sorted(S.M)
-        return lambda y: any(y[i] > x0[i] for i in M)
-    return _semispace_member(x0, S.coordinate)
-
-
 def outside(S: SemispaceDescriptor | HemispaceDescriptor, top: int) -> RankBox:
-    """The complement of a semispace or a hemispace with rank x0, on ranks
-    whose 1 is `top`.  Each clause of semispace and _semispace_member is an
-    open half-space y_o < tau or y_m > x0_m, so the points no clause holds
-    form the closed box y_o >= tau, y_m <= x0_m."""
+    """The closed box of the cube's points outside a semispace or a hemispace
+    with rank x0, on ranks whose 1 is `top`: the referee's one definition of
+    S, read by semispace, exact_separator and verify's hull sweep.  Each
+    family (see the semispaces module) is a union of open half-spaces: the
+    upper type of y_k > x0_k for every k, coordinate o of y_o < tau = x0_o
+    and of y_m > x0_m wherever x0_m < tau, the hemispace of y_m > x0_m for
+    m in M.  The points in none of them form the box y_o >= tau, y_m <= x0_m
+    (0 and top on every other face)."""
     x0 = S.x0
     if isinstance(S, HemispaceDescriptor):
         return RankBox((0,) * len(x0), tuple(a if i in S.M else top for i, a in enumerate(x0)))
@@ -159,20 +154,16 @@ def outside(S: SemispaceDescriptor | HemispaceDescriptor, top: int) -> RankBox:
     return RankBox(lower, tuple(a if a < tau else top for a in x0))
 
 
+def semispace(S: SemispaceDescriptor | HemispaceDescriptor, top: int) -> Callable[[Ranks], bool]:
+    """Membership in a semispace or a hemispace S: y is not in outside(S, top)."""
+    lower, upper = outside(S, top)
+    return lambda y: not all(a <= c <= b for a, c, b in zip(lower, y, upper))
+
+
 def _misses(in_S: Callable[[Ranks], bool], box: RankBox) -> bool:
-    """Whether S misses the box: each clause of S is a down-set y_o < tau
-    or an up-set y_m > x0_m, so S meets the box iff it holds a corner."""
+    """Whether S misses the box: S is the complement of the box
+    outside(S, top), which holds the box iff it holds both its corners."""
     return not (in_S(box.lower) or in_S(box.upper))
-
-
-def _semispace_member(x0: Ranks, o: int | None) -> Callable[[Ranks], bool]:
-    """The semispace predicate at x0: some y_k > x0_k for the upper type;
-    y_o < x0_o or y_m > x0_m at some m with x0_m < x0_o for coordinate o."""
-    if o is None:
-        return lambda y: any(a > b for a, b in zip(y, x0))
-    tau = x0[o]
-    watched = [m for m, a in enumerate(x0) if a < tau]
-    return lambda y: y[o] < tau or any(y[m] > x0[m] for m in watched)
 
 
 def exact_separator(
@@ -194,12 +185,11 @@ def exact_separator(
       widens the first clause to its limit, the clause set to that whole
       set and each clause to y_m > upper_m, so this x0 is the extreme one.
     The n+1 candidates are tried upper type first, then coordinates in
-    index order, each with the predicate of _semispace_member.
+    index order, each tested with semispace, the complement of outside.
     """
 
     def separates(x0: Ranks, o: int | None) -> bool:
-        member = _semispace_member(x0, o)
-        return all(member(v) for v in gens)
+        return all(map(semispace(SemispaceDescriptor(x0, o), top), gens))
 
     if top not in upper and separates(upper, None):
         return upper, None

@@ -81,18 +81,18 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
         if x0 is None and isinstance(trace, list) and any(isinstance(e, dict) and e.get("stage") == 4 for e in trace):
             # the fallback ran: its extreme hemispace, which misses the box, must fail too
             M = frozenset(i for i, u in enumerate(box.upper) if u < scale.top)
-            if all(map(semispace(HemispaceDescriptor(box.upper, M)), gens)):
+            if all(map(semispace(HemispaceDescriptor(box.upper, M), scale.top), gens)):
                 x0 = box.upper
         _sweep(checks, "no grid semispace separates", x0, scale)
         return
     S = replace(S, x0=table.encode(S.x0))
-    in_S = semispace(S)
+    in_S = semispace(S, scale.top)
     _check(checks, "set inside separator", all(map(in_S, gens)))
     _check(checks, "separator misses box", _misses(in_S, box))
     _sweep(
         checks,
         "grid hull points inside separator",
-        scale.first(lambda y: not in_S(y) and in_hull(y), span(gens), outside(S, scale.top)),
+        scale.first(in_hull, span(gens), outside(S, scale.top)),
         scale,
     )
     if not hemispace:
@@ -126,7 +126,7 @@ def _two_set_certificate(data: dict, inst: serialize.Instance, table, grid: Grid
         rg,
     )
     if S is not None:
-        in_S = semispace(replace(S, x0=table.encode(S.x0)))
+        in_S = semispace(replace(S, x0=table.encode(S.x0)), rg.top)
         _check(checks, "other set inside semispace", all(map(in_S, other)))
         _check(checks, "semispace misses the box", _misses(in_S, box))
         _sweep(checks, "no grid box point inside semispace", rg.first(in_S, box), rg)

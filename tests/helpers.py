@@ -25,7 +25,7 @@ from maxminsep import (
     semispace_contains,
 )
 from maxminsep.core import Ranks, Scale, check_same_dim
-from maxminsep.oracle import RankGrid, _semispace_member
+from maxminsep.oracle import RankGrid, semispace
 
 
 def package_modules() -> list:
@@ -185,8 +185,7 @@ def first_grid_separator(B: Box, C: GeneratedConvexSet, grid: Grid) -> Semispace
             family.insert(0, None)
         for o in family:
             if _misses_box(x0, o, lower, upper):
-                member = _semispace_member(x0, o)
-                if all(member(v) for v in gens):
+                if all(map(semispace(SemispaceDescriptor(x0, o), rg.top), gens)):
                     return SemispaceDescriptor(rg.decode(x0), o)
     return None
 

@@ -28,8 +28,8 @@ from maxminsep import (
     set_in_semispace,
 )
 from maxminsep.core import RankBox, leq
-from maxminsep.oracle import RankGrid, _misses, _semispace_member, exact_separator, hull, outside, semispace, span
-from maxminsep.semispaces import misses_box
+from maxminsep.oracle import RankGrid, _misses, exact_separator, hull, outside, semispace, span
+from maxminsep.semispaces import membership, misses_box
 from maxminsep.serialize import box_to_dict, descriptor_to_dict, set_to_list
 from maxminsep.verify import check_certificate
 from helpers import (
@@ -220,11 +220,12 @@ class TestRankGridDifferential:
             for S in [*semispace_family(x0), H]:
                 member = semispace_contains if isinstance(S, SemispaceDescriptor) else hemispace_contains
                 rank_S = replace(S, x0=rg.encode(S.x0))
-                in_S = semispace(rank_S)
+                in_S = semispace(rank_S, rg.top)
                 expected = _reference_first(grid, lambda p: hull_contains(C, p) and not member(S, p))
                 offending = lambda y: not in_S(y) and in_hull(y)
                 assert _first(rg, offending, span(gens)) == expected
-                assert _first(rg, offending, span(gens), outside(rank_S, rg.top)) == expected
+                # verify's hull sweep: every point of the region lies outside S
+                assert _first(rg, in_hull, span(gens), outside(rank_S, rg.top)) == expected
                 assert _first(rg, in_S, rank_box) == _reference_first(
                     grid, lambda p: B.contains_point(p) and member(S, p)
                 )
@@ -265,9 +266,10 @@ class TestRankGridDifferential:
 
 
 class TestOutside:
-    """outside(S, top) is the complement of S, on every rank point of the
-    cube: x0 coordinates at 0 (a coordinate semispace that is empty) and at
-    the top included."""
+    """outside(S, top), the referee's definition of S, is the complement of
+    the library's union of half-spaces (semispaces.membership), on every
+    rank point of the cube: x0 coordinates at 0 (a coordinate semispace that
+    is empty) and at the top included."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_is_exactly_the_complement(self, n):
@@ -279,7 +281,7 @@ class TestOutside:
                 *(SemispaceDescriptor(x0, o) for o in (None, *range(n))),
                 *(HemispaceDescriptor(x0, M) for M in subsets),
             ]:
-                in_S = semispace(S)
+                in_S = membership(S)
                 lower, upper = outside(S, top)
                 assert [not in_S(y) for y in cube] == [leq(lower, y) and leq(y, upper) for y in cube], S
 
@@ -356,10 +358,10 @@ def instances(draw, dims=(1, 2, 3, 4), dens=(4, 5, 6, 10)):
 
 
 @st.composite
-def rank_descriptors(draw, top=6):
+def rank_descriptors(draw, top=6, max_n=4):
     """(descriptor, box) on ranks 0..top: an upper-type or coordinate
     semispace, or a hemispace, and any box of the same dimension."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     point = st.tuples(*[st.integers(0, top)] * n)
     x0, p, q = draw(point), draw(point), draw(point)
     S = draw(st.one_of(
@@ -367,6 +369,18 @@ def rank_descriptors(draw, top=6):
         st.sets(st.integers(0, n - 1)).map(lambda M: HemispaceDescriptor(x0, M)),
     ))
     return S, RankBox(tuple(map(min, p, q)), tuple(map(max, p, q)))
+
+
+class TestSemispace:
+    """oracle.semispace, the complement of outside, against the library's
+    union of half-spaces at random rank points."""
+
+    @given(rank_descriptors(max_n=6), st.lists(st.integers(0, 6), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_library_membership(self, case, coords):
+        S, _ = case
+        y = tuple(coords[: len(S.x0)])
+        assert semispace(S, 6)(y) == membership(S)(y)
 
 
 class TestTwoCornerRule:
@@ -378,7 +392,7 @@ class TestTwoCornerRule:
     @settings(max_examples=300, deadline=None)
     def test_matches_misses_box(self, case):
         S, rank_box = case
-        in_S = semispace(S)
+        in_S = semispace(S, 6)
         assert _misses(in_S, rank_box) == misses_box(S, rank_box)
 
 
@@ -416,8 +430,7 @@ class TestExactSeparator:
         found, lower, upper, gens, s = _decide(B, C)
         assume(found is not None)
         x0, o = found
-        member = _semispace_member(x0, o)
-        assert all(member(v) for v in gens)
+        assert all(map(semispace(SemispaceDescriptor(x0, o), s.top), gens))
         assert _misses_box(x0, o, lower, upper)
         S = SemispaceDescriptor(s.decode(x0), o)
         assert S in semispace_family(S.x0)

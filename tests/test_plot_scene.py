@@ -152,7 +152,7 @@ def test_separator_strips_cover_exactly_its_semispace(tmp_path, capsys, instance
     document = certificate.get("separator") or certificate["semispace"]
     assert (document["type"], "M" in document) == kind
     S = descriptor_from_dict(document)
-    member = semispace(replace(S, x0=tuple(map(float, S.x0))))
+    member = semispace(replace(S, x0=tuple(map(float, S.x0))), 1.0)
     strips = [corners(e) for e in shapes(root, fill=STRIP_FILL)]
     # the strip edges sit on multiples of 1/40, so no midpoint is on one
     midpoints = [(k + 0.5) / 40 for k in range(40)]

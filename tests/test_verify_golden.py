@@ -6,7 +6,9 @@ separated with and without --no-fallback, and each certificate and a
 tampered copy of it (separator or witness moved to the box's lower corner)
 is verified at the instance grid and at --grid 4 and 7.  The SHA-256 of
 the exit codes and reports, concatenated in order, must not move: a change
-to the referee that alters one byte of one report fails here.
+to the referee that alters one byte of one report fails here.  None of
+those reports fails the hull sweep, so a second corpus moves each
+separator's x0 onto a generator, which makes that sweep fail.
 """
 import hashlib
 import json
@@ -82,3 +84,38 @@ def test_verify_reports_are_unchanged(tmp_path, capsys):
     # are caught
     assert verdicts == {(True, 0), (False, 0), (False, 1)}
     assert digest.hexdigest() == DIGEST
+
+
+HULL_SWEEP_DIGEST = "e75fab5f960fd627cb6d079cd29e7abb8b3508b10e55fb5d849164a0b0af88f6"
+
+
+def test_failing_hull_sweeps_are_unchanged(tmp_path, capsys):
+    """The semispace and hemispace certificates of the corpus above, each
+    copied once per generator with the separator's x0 moved onto that
+    generator, verified at the instance grid and at --grid 4 and 7.  A
+    separator never holds its own x0, so that generator is a hull point
+    outside it, and the hull sweep fails when the grid holds such a point
+    (121 of the 363 reports); the digest pins the point each one names."""
+    r = random.Random(20260)
+    instance, certificate = tmp_path / "instance.json", tmp_path / "cert.json"
+    digest = hashlib.sha256()
+    failing = 0
+    for doc in _box_instances(r):
+        instance.write_text(json.dumps(doc), encoding="utf-8")
+        for extra in ([], ["--no-fallback"]):
+            main(["separate-box", "-i", str(instance), *extra])
+            cert = json.loads(capsys.readouterr().out)
+            if cert["outcome"] == "not-separable":
+                continue
+            for generator in doc["sets"]["C"]:
+                moved = json.loads(json.dumps(cert))
+                moved["separator"]["x0"] = generator
+                certificate.write_text(json.dumps(moved), encoding="utf-8")
+                for grid in ([], ["--grid", "4"], ["--grid", "7"]):
+                    code = main(["verify", "-i", str(certificate), *grid])
+                    out = capsys.readouterr().out
+                    checks = json.loads(out)["checks"]
+                    failing += not next(c["ok"] for c in checks if c["check"] == "grid hull points inside separator")
+                    digest.update(f"{code}\n{out}".encode())
+    assert failing >= 100
+    assert digest.hexdigest() == HULL_SWEEP_DIGEST
