@@ -80,6 +80,15 @@ MUTANTS = (
         ("tests/test_serialize.py::TestScalarPair",),
     ),
     Mutant(
+        "format-keeps-trailing-zeros", "serialize.py",
+        '    return f"0.{p * 10**k // q:0{k}d}".rstrip("0")', '    return f"0.{p * 10**k // q:0{k}d}"',
+        "a decimal scalar is written with all q.bit_length() places, 1/2 as 0.50",
+        (
+            "tests/test_serialize.py::TestScalarStrings::test_matches_the_counting_formatter_on_small_denominators",
+            "tests/test_serialize.py::TestScalarStrings::test_canonical_format",
+        ),
+    ),
+    Mutant(
         "writer-unsorted-keys", "serialize.py",
         "for key in sorted(value)]", "for key in value]",
         "object keys keep their insertion order",
@@ -157,6 +166,15 @@ MUTANTS = (
         (
             "tests/test_planar.py::TestSeparateTwoSets::test_intersecting_hulls_are_rejected",
             "tests/test_planar.py::TestSeparateTwoSets::test_intersecting_hulls_name_the_descent_point",
+        ),
+    ),
+    Mutant(
+        "descent-caps-at-the-first-hull", "convex.py",
+        "        cap = g2\n", "        cap = g1\n",
+        "the descent caps at its point of the first hull, so it stalls there and runs out its bound",
+        (
+            "tests/test_convex.py::TestHullIntersectionWitness::test_agrees_with_grid_intersection",
+            "tests/test_cli.py::TestSeparateTwoSets::test_intersecting_hulls_name_the_greatest_common_point",
         ),
     ),
     Mutant(

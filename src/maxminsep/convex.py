@@ -116,22 +116,16 @@ def bounds(gens: tuple[Ranks, ...]) -> RankBox:
 
 
 def hulls_common_point(gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...], top: int) -> Ranks | None:
-    """A common point of two hulls, or None when they are disjoint.
+    """The greatest common point of two hulls, or None when they are disjoint.
 
-    Cheap pass first: cross-membership of generators.  Then alternate
-    greatest_under against a shrinking cap.  The intersection of two hulls
-    is closed under join, so when non-empty it has a greatest point; that
-    point stays below the cap at every step, and each step either gives up
-    (no hull point under the cap, hence no common point) or lands on a
-    point whose coordinates come from the finite set of generator and cap
-    values, so the descent reaches a fixed point lying in both hulls.
+    Alternate greatest_under against a shrinking cap.  The intersection of
+    two hulls is closed under join, so when non-empty it has a greatest
+    point; that point stays below the cap at every step, and each step
+    either gives up (no hull point under the cap, hence no common point) or
+    lands on a point whose coordinates come from the finite set of
+    generator and cap values, so the descent reaches a fixed point lying in
+    both hulls and above the greatest common point: that point itself.
     """
-    for g in gens1:
-        if in_hull(gens2, g, top):
-            return g
-    for g in gens2:
-        if in_hull(gens1, g, top):
-            return g
     n = len(gens1[0])
     values = {c for v in gens1 for c in v} | {c for v in gens2 for c in v}
     cap = (top,) * n
@@ -184,7 +178,7 @@ def bounding_box(C: GeneratedConvexSet) -> Box:
 
 
 def hull_intersection_witness(C1: GeneratedConvexSet, C2: GeneratedConvexSet) -> Point | None:
-    """A common point of two hulls, or None; see hulls_common_point."""
+    """The greatest common point of two hulls, or None; see hulls_common_point."""
     check_same_dim(C1.generators[0], C2.generators[0])
     g = hulls_common_point(C1.coords, C2.coords, ONE)
     return None if g is None else Point(g)

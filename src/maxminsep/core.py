@@ -125,8 +125,8 @@ class Scale:
     """Order-preserving numbering of finitely many scalars, 0 and 1 included.
 
     pairs[r] is the normalised (numerator, denominator) of the scalar of
-    rank r, values[r] that scalar as a Fraction (built on first use), rank
-    the rank of a pair and top the rank of 1.  One Scale belongs to one
+    rank r, rank the rank of a pair and top the rank of 1; decode turns
+    ranks back into a Point of Fractions.  One Scale belongs to one
     instance: it is built from the pairs of that instance's scalars and
     travels with it.
 
@@ -136,7 +136,7 @@ class Scale:
     misordered two values).
     """
 
-    __slots__ = ("pairs", "rank", "top", "_values")
+    __slots__ = ("pairs", "rank", "top")
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         order = sorted({(0, 1), (1, 1), *pairs}, key=lambda nd: nd[0] / nd[1])
@@ -145,24 +145,14 @@ class Scale:
         self.pairs = tuple(order)
         self.rank = {nd: r for r, nd in enumerate(order)}
         self.top = len(order) - 1
-        self._values = None
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        if self._values is None:
-            # from a list, not an iterator: tuple() of an iterator resizes a
-            # 10-slot tuple, and over a long run the resized tuples fill the
-            # interpreter's per-size tuple free lists, which raises peak memory
-            self._values = tuple([Fraction(p, q) for p, q in self.pairs])
-        return self._values
 
     def encode(self, p: Iterable[Fraction]) -> Ranks:
         rank = self.rank
         return tuple(rank[c.numerator, c.denominator] for c in p)
 
     def decode(self, ranks: Ranks) -> Point:
-        values = self.values
-        return Point(tuple(values[r] for r in ranks))
+        pairs = self.pairs
+        return Point(tuple(Fraction(*pairs[r]) for r in ranks))
 
 
 # Stands in for a Scale where a kernel runs on the exact scalars: the top

@@ -79,7 +79,7 @@ def box_one_set(scale: Scale, gens1: tuple[Ranks, ...], gens2: tuple[Ranks, ...]
     misses the other set's hull.  No other box can win: a box around a set
     contains its bounding box, so it meets the other hull whenever the
     bounding box does.  Each box holds every common point of the hulls, so
-    the descent that names one runs only when both fail.
+    the descent that names the greatest one runs only when both fail.
     """
     _require_planar(gens1, gens2)
     top = scale.top

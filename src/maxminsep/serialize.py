@@ -73,23 +73,18 @@ def scalar_pair(text: str) -> tuple[int, int]:
 
 
 def format_scalar(p: int, q: int) -> str:
-    """Canonical exact string of the normalised fraction p/q: decimal when
-    the denominator divides a power of ten."""
+    """Canonical exact string of the reduced scalar p/q in [0, 1]: decimal
+    when q divides a power of ten, else "p/q".  With k = q.bit_length(),
+    q = 2^a·5^b has a, b < k, so q divides some power of ten iff it divides
+    10^k; the k digits of p·10^k // q are then p/q exactly, and stripping
+    trailing zeros stops at its last digit, which is not 0 as p/q is
+    reduced."""
     if q == 1:
         return str(p)
-    rest = q
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    k = q.bit_length()
+    if 10**k % q:
         return f"{p}/{q}"
-    k = max(twos, fives)
-    scaled = p * 10**k // q
-    return f"{scaled // 10**k}.{scaled % 10**k:0{k}d}"
+    return f"0.{p * 10**k // q:0{k}d}".rstrip("0")
 
 
 class ScalarTable:

@@ -246,6 +246,26 @@ def restart_scan_partition(lower, upper) -> list[tuple[int, frozenset[int], obje
     return stages
 
 
+def counting_format_scalar(p: int, q: int) -> str:
+    """Reference scalar string of the reduced p/q: count the factors 2 and
+    5 of q; if nothing else remains, p/q has max(twos, fives) decimals."""
+    if q == 1:
+        return str(p)
+    rest = q
+    twos = fives = 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{p}/{q}"
+    k = max(twos, fives)
+    scaled = p * 10**k // q
+    return f"{scaled // 10**k}.{scaled % 10**k:0{k}d}"
+
+
 # Segment closures on grid index tuples: test oracles for hulls and
 # convexity, independent of the library's residuation.
 

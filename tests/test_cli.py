@@ -208,7 +208,7 @@ class TestScalarDedupe:
         path = write_instance(tmp_path, doc)
         inst = parse_instance(Path(path).read_text(encoding="utf-8"))
         assert inst.box.upper[0] == inst.box.upper[1] == inst.sets["C"][0][0] == inst.sets["C"][1][0]
-        assert inst.scale.values == tuple(map(Fraction, ("0", "0.1", "0.5", "0.9", "0.95", "1")))
+        assert [Fraction(*nd) for nd in inst.scale.pairs] == list(map(Fraction, ("0", "0.1", "0.5", "0.9", "0.95", "1")))
         code, out, _ = run(capsys, ["separate-box", "-i", path])
         assert code == 0
         data = json.loads(out)
@@ -272,6 +272,13 @@ class TestSeparateTwoSets:
         code, _, err = run(capsys, ["separate-2d", "-i", inst, "--with-semispace"])
         assert code == 1
         assert "error:" in err
+
+    def test_intersecting_hulls_name_the_greatest_common_point(self, tmp_path, capsys):
+        # (0.2, 0.2) generates both hulls, but the hulls also share every
+        # diagonal point up to (0.4, 0.4), which is the point named
+        sets = {"C1": [["0.2", "0.2"], ["0.8", "0.8"]], "C2": [["0.2", "0.2"], ["0.6", "0.4"]]}
+        inst = write_instance(tmp_path, dict(TWO_SETS, sets=sets))
+        assert run(capsys, ["separate-2d", "-i", inst]) == (1, "", "error: the hulls share the point (2/5, 2/5)\n")
 
 
 class TestFamily:

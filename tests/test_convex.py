@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxminsep import (
@@ -16,6 +16,7 @@ from maxminsep import (
     greatest_below,
     hull_contains,
     hull_intersection_witness,
+    join,
     principal_coefficients,
     scale_meet,
 )
@@ -153,6 +154,8 @@ class TestHullIntersectionWitness:
         assert hull_contains(C1, w) and hull_contains(C2, w)
 
     @given(small_gsets(2, 4, 2), small_gsets(2, 4, 2))
+    # a generator of C1 lies in hull(C2), below the greatest common point (1/2, 1/2)
+    @example(gset("0.25,0.25", "0.75,0.75"), gset("0.25,0.25", "0.75,0.5"))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_grid_intersection(self, C1, C2):
         grid = Grid(4, 2)
@@ -163,6 +166,9 @@ class TestHullIntersectionWitness:
             assert not (h1 & h2)
         else:
             assert hull_contains(C1, w) and hull_contains(C2, w)
+            # the greatest common point has generator or top coordinates,
+            # so it lies on the grid and is the join of the common grid points
+            assert w == join(*(h1 & h2))
 
 
 class TestRandomizedAgreement:

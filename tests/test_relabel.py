@@ -165,7 +165,7 @@ def test_box_functions_match_their_kernels_on_ranks(data, n, pinned):
     profile = upper_profile(ranked)
     assert box_profile(B) == replace(profile, u=s.decode(profile.u))
     part = lower_partition(ranked)
-    stages = tuple(replace(stage, level=s.values[stage.level]) for stage in part.stages)
+    stages = tuple(replace(stage, level=Fraction(*s.pairs[stage.level])) for stage in part.stages)
     assert lower_partition(B) == replace(part, stages=stages)
 
 

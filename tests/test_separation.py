@@ -1,6 +1,7 @@
 """The separation pipeline: profiles, partitions, certificates, referees."""
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from maxminsep import (
     hull_contains,
     lower_partition,
     semispace_avoids_box,
+    semispace_family,
     separate_box,
     set_in_semispace,
 )
@@ -306,6 +308,36 @@ class TestSeparateBoxProperties:
                 per_round.setdefault(e.iteration, []).append(e.position)
         maxima = [max(ps) for _, ps in sorted(per_round.items())]
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
+
+
+class TestPointCorollary:
+    """The point case of the box condition: a point x outside hull(C) is a
+    box [x, x] whose largest lower bound is its largest upper bound, and the
+    semispace stages answer it with one of the semispaces at x."""
+
+    @staticmethod
+    def answer(x, C):
+        cert = separate_box(Box(x, x), C, with_fallback=False)
+        assert cert.outcome == SEMISPACE
+        assert cert.separator in semispace_family(x), (x, C)
+        assert cert.oracle_calls <= x.dim + 1
+        return cert.trace[-1].stage
+
+    def test_exhaustive_in_the_plane_on_quarters(self):
+        # every grid point outside the hull of one or two grid generators;
+        # the last stages split 3,100 / 2,330 / 1,474 over stages 1 / 2 / 3
+        grid = [Point((Fraction(i, 4), Fraction(j, 4))) for i in range(5) for j in range(5)]
+        sets = [GeneratedConvexSet(gens) for size in (1, 2) for gens in itertools.combinations(grid, size)]
+        last_stages = Counter(self.answer(x, C) for C in sets for x in grid if not hull_contains(C, x))
+        assert sum(last_stages.values()) == 6_904
+        assert set(last_stages) == {1, 2, 3}
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(points(n), gsets(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_random_points_on_sixths(self, case):
+        x, C = case
+        assume(not hull_contains(C, x))
+        self.answer(x, C)
 
 
 @st.composite

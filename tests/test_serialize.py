@@ -1,6 +1,7 @@
 """Wire format: canonical scalar strings, JSON round-trips, strict parsing."""
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,7 +38,7 @@ from maxminsep.serialize import (
     set_from_list,
     set_to_list,
 )
-from helpers import box, gset, pt
+from helpers import box, counting_format_scalar, gset, pt, rng
 
 scalars = st.fractions(min_value=0, max_value=1, max_denominator=60)
 
@@ -69,6 +70,27 @@ class TestScalarStrings:
     )
     def test_canonical_format(self, value, text):
         assert format_scalar(value.numerator, value.denominator) == text
+
+    def test_matches_the_counting_formatter_on_small_denominators(self):
+        for q in range(1, 401):
+            for p in range(q + 1):
+                if gcd(p, q) == 1:
+                    assert format_scalar(p, q) == counting_format_scalar(p, q), (p, q)
+
+    def test_matches_the_counting_formatter_on_long_decimals(self):
+        # q = 2^a·5^b·m: finite decimals of up to 1,000 places for m = 1,
+        # fractions whose denominator has as many factors 2 and 5 otherwise
+        r = rng(27)
+        edges = (0, 1, 2, 999, 1000)
+        cases = [(a, b) for a in edges for b in edges]
+        cases += [(r.randint(0, 1000), r.randint(0, 1000)) for _ in range(300)]
+        for a, b in cases:
+            for m in (1, 3, 7):
+                q = 2**a * 5**b * m
+                p = r.randrange(q) if q > 1 else 1
+                while gcd(p, q) != 1:
+                    p = r.randrange(1, q)
+                assert format_scalar(p, q) == counting_format_scalar(p, q), (a, b, m)
 
     def test_decimal_and_fraction_spellings_agree(self):
         assert parse_scalar("0.35") == parse_scalar("7/20") == Fraction(7, 20)
