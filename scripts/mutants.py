@@ -152,8 +152,8 @@ MUTANTS = (
     Mutant(
         "box-profile-wrong-t", "separation.py",
         "    return replace(profile, u=Point(profile.u))",
-        "    return replace(profile, u=Point(profile.u), t=1)",
-        "box_profile reports threshold 1",
+        "    return replace(profile, u=Point(profile.u), coordinate=0)",
+        "box_profile names coordinate 0 whatever carries the largest lower bound",
         (
             "tests/test_separation.py::TestBoxProfile::test_worked_example",
             "tests/test_relabel.py::test_box_functions_match_their_kernels_on_ranks",
@@ -229,11 +229,11 @@ MUTANTS = (
     ),
     Mutant(
         "band-prior-holds-the-threshold-bound", "separation.py",
-        "ups[q - 1] if ups[q - 1] < bound else", "ups[q - 1] if ups[q - 1] <= bound else",
-        "a round's candidates also watch the positions of its own stage whose upper bound is lows[s - 1]",
+        "u if u < stage.level else", "u if u <= stage.level else",
+        "a round's candidates also watch the coordinates of its own stage whose upper bound is its level",
         (
             "tests/test_separation.py::TestSeparateBoxProperties::test_agrees_with_brute_search",
-            "tests/test_box_condition.py::test_condition_decides_separability_on_sixths",
+            "tests/test_separation.py::TestBandRounds::test_candidates_match_the_sorted_construction",
         ),
     ),
     Mutant(
@@ -325,10 +325,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "upper-profile-strict-threshold", "separation.py",
-        "if ups[p - 1] >= prefix_max[p - 1])", "if ups[p - 1] > prefix_max[p - 1])",
-        "the box profile threshold skips a position whose upper bound ties the lower bounds before it",
-        ("tests/test_separation.py::TestBoxProfile::test_point_box_threshold_is_leading_block",),
+        "upper-profile-orders-by-lower", "separation.py",
+        "descending_order(box.upper)", "descending_order(box.lower)",
+        "of the coordinates carrying the largest lower bound, the profile takes the first by index, not by upper bound",
+        (
+            "tests/test_separation.py::TestBoxProfile::test_level_ties_go_to_the_larger_upper_bound",
+            "tests/test_separation.py::TestBoxProfile::test_matches_the_prefix_max_scan_on_small_rank_boxes",
+        ),
+    ),
+    Mutant(
+        "verify-threshold-strict", "verify.py",
+        ">= max(box.lower)", "> max(box.lower)",
+        "verify refuses a witness that escapes where the upper bound equals the largest lower bound",
+        ("tests/test_cli.py::TestVerify::test_witness_may_escape_where_the_upper_bound_is_the_level",),
     ),
     Mutant(
         "greatest-under-skips-first-generator", "convex.py",

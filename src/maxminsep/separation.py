@@ -4,7 +4,7 @@ separate_box produces, for disjoint inputs, either a semispace containing
 the generated set and missing the box, a hemispace doing the same when the
 semispace candidates fail, or a not-separable outcome with a witness: a
 hull point that is ≥ the box lower bound everywhere and beats the box upper
-bound only on sorted positions up to the box profile threshold t.
+bound only on coordinates whose upper bound reaches the largest lower bound.
 
 The witness alone does not rule out every semispace.  For the box
 [0.2,0.8]×[0.2,0.5] and C = {(0.9,0.9)} the generator is such a point, yet
@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 
 from .core import (
     EXACT,
@@ -61,20 +60,9 @@ NOT_SEPARABLE = "not-separable"
 
 @dataclass(frozen=True)
 class BoxProfile:
-    """Upper-bound ordering data of a box.
+    """u = min(upper, max(lower)) and the coordinate carrying max(lower); see upper_profile."""
 
-    upper_perm sorts the upper bounds descending (1-based positions to
-    0-based coordinates, ties stable).  t is the greatest position whose
-    upper bound dominates every lower bound at positions ≤ t; it exists
-    because position 1 qualifies.  l is the smallest position ≤ t carrying
-    the largest lower bound among positions ≤ t, and u is the point that
-    levels positions ≤ t at that bound and keeps the upper bounds after t;
-    its maximum coordinate is exactly lower_l.
-    """
-
-    upper_perm: tuple[int, ...]
-    t: int
-    l: int
+    coordinate: int
     u: Point | Ranks
 
 
@@ -123,25 +111,18 @@ class SeparationCertificate:
         return self.outcome in (SEMISPACE, HEMISPACE)
 
 
-def _unsort(perm: tuple[int, ...], values) -> Ranks:
-    """The point whose coordinate perm[q] is values[q]: undo a sort."""
-    coords = [0] * len(perm)
-    for o, v in zip(perm, values):
-        coords[o] = v
-    return tuple(coords)
-
-
 def upper_profile(box: Box | RankBox) -> BoxProfile:
-    """Sort upper bounds descending and locate the threshold t and level u."""
-    n = len(box.lower)
-    perm = descending_order(box.upper)
-    ups = [box.upper[o] for o in perm]
-    lows = [box.lower[o] for o in perm]
-    prefix_max = list(accumulate(lows, max))
-    t = next(p for p in range(n, 0, -1) if ups[p - 1] >= prefix_max[p - 1])
-    peak = prefix_max[t - 1]
-    l = next(p for p in range(1, t + 1) if lows[p - 1] == peak)
-    return BoxProfile(upper_perm=perm, t=t, l=l, u=_unsort(perm, [peak] * t + ups[t:]))
+    """The prefix-max profile in closed form.  Sort the upper bounds
+    descending, ties by index; the threshold t is the last position whose
+    upper bound is ≥ every lower bound up to it.  Let m = max(lower).  The
+    coordinates with upper ≥ m qualify, as m bounds every lower bound, and
+    form a prefix; it holds the coordinate carrying m, whose upper bound is
+    ≥ m, and every later upper bound is below m, so fails there.  Positions
+    ≤ t are thus {upper ≥ m}, levelled at m: u = min(upper, m), and the
+    coordinate is the first of them whose lower bound is m."""
+    peak = max(box.lower)
+    coordinate = next(o for o in descending_order(box.upper) if box.lower[o] == peak)
+    return BoxProfile(coordinate, tuple(min(v, peak) for v in box.upper))
 
 
 def lower_partition(box: Box | RankBox) -> PartitionProfile:
@@ -196,6 +177,14 @@ def separate(
     sweeps stays ≤ n+1 (hemispace fallback included: positions where the
     witness beats the upper bound are never tried).  Raises
     IntersectionError when box and hull share a point.
+
+    The candidate at lower-sorted position p in stage s, of level λ, has
+    x0_o = upper_o if upper_o < λ else max(lower_o, lows[p - 1]), lows the
+    lower bounds sorted descending.  Stage s holds the q with lows[s - 1] ≤
+    ups[q] < lows[s - 2], λ the least such ups[q], so no upper bound lies in
+    [lows[s - 1], λ): upper_o < λ iff upper_o < lows[s - 1], the clauses of
+    the earlier stages.  As the lows descend, max(lows[q - 1], lows[p - 1])
+    is lows[q - 1] for q < p and lows[p - 1] from p on.
     """
     top = scale.top
     lower, upper = box
@@ -221,12 +210,12 @@ def separate(
     def done(outcome, separator=None, witness=None):
         return SeparationCertificate(outcome, separator, witness, tuple(trace))
 
-    profile = upper_profile(box)
     if all(v < top for v in upper):
         S = SemispaceDescriptor(upper, None)
         y = sweep(S, stage=1)
     else:
-        S = SemispaceDescriptor(profile.u, profile.upper_perm[profile.l - 1])
+        profile = upper_profile(box)
+        S = SemispaceDescriptor(profile.u, profile.coordinate)
         y = sweep(S, stage=2)
     if y is None:
         return done(SEMISPACE, S)
@@ -234,7 +223,6 @@ def separate(
     part = lower_partition(box)
     perm = part.lower_perm
     lows = [lower[o] for o in perm]
-    ups = [upper[o] for o in perm]
 
     # at most one round per partition stage, plus the round that sees no
     # failing position left
@@ -243,14 +231,10 @@ def separate(
         if not failing:
             break
         stage = next(st for st in part.stages if st.s <= failing[-1])
-        bound = lows[stage.s - 1]  # the earlier stages hold the positions whose ups are below it
         witnesses = []
         for p in [q for q in reversed(failing) if q >= stage.s]:
-            u_sorted = [
-                ups[q - 1] if ups[q - 1] < bound else (lows[q - 1] if q < p else lows[p - 1])
-                for q in range(1, n + 1)
-            ]
-            S = SemispaceDescriptor(_unsort(perm, u_sorted), perm[p - 1])
+            x0 = tuple(u if u < stage.level else max(l, lows[p - 1]) for l, u in zip(lower, upper))
+            S = SemispaceDescriptor(x0, perm[p - 1])
             w = sweep(S, stage=3, iteration=iteration, position=p)
             if w is None:
                 return done(SEMISPACE, S)
@@ -262,8 +246,7 @@ def separate(
     exceed = [i for i in range(n) if y[i] > upper[i]]
     if not exceed:
         raise fault("final witness lies inside the box; inputs were not disjoint", 3)
-    pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
-    if any(pos_of[i] > profile.t for i in exceed):
+    if min(upper[i] for i in exceed) < max(lower):
         raise fault("final witness escapes the box beyond the profile threshold", 3)
 
     if with_fallback:
@@ -292,8 +275,7 @@ def decode_certificate(scale: Scale, cert: SeparationCertificate) -> SeparationC
 
 
 def box_profile(B: Box) -> BoxProfile:
-    """Sort upper bounds descending and locate the threshold t and level u;
-    see upper_profile."""
+    """upper_profile of B, with u a Point."""
     profile = upper_profile(B)
     return replace(profile, u=Point(profile.u))
 

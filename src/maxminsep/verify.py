@@ -18,7 +18,7 @@ from .core import RankBox, Ranks, Scale, leq
 from .errors import IntersectionError, ParseError
 from .oracle import Grid, RankGrid, _misses, exact_separator, hull, outside, semispace, span
 from .semispaces import HemispaceDescriptor
-from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE, upper_profile
+from .separation import HEMISPACE, NOT_SEPARABLE, SEMISPACE
 
 
 def _check(checks: list, name: str, ok: bool) -> None:
@@ -53,6 +53,10 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
     elif outcome == NOT_SEPARABLE:
         witness = table.point(_field(data, "witness"))
         serialize.at_dimension(inst.dimension, witness)
+        trace = data.get("trace")  # None records no stage
+        if trace is not None and not (isinstance(trace, list) and all(isinstance(e, dict) for e in trace)):
+            raise ParseError("certificate trace must be a list of objects")
+        stages = [serialize.json_int(e.get("stage"), "trace stage") for e in trace or ()]
     else:
         raise ParseError(f"unknown certificate outcome {outcome!r}")
     on_grid = outcome != NOT_SEPARABLE
@@ -61,24 +65,18 @@ def _box_certificate(data: dict, inst: serialize.Instance, table, grid: Grid, ch
     in_hull = hull(gens, scale.top)
     if outcome == NOT_SEPARABLE:
         w = table.encode(witness)
-        profile = upper_profile(box)
-        pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
         _check(checks, "witness in hull", in_hull(w))
         _check(checks, "witness dominates box lower bounds", leq(box.lower, w))
         exceed = [i for i, (a, u) in enumerate(zip(w, box.upper)) if a > u]
-        _check(
-            checks,
-            "witness escapes inside the profile threshold",
-            bool(exceed) and all(pos_of[i] <= profile.t for i in exceed),
-        )
+        escapes = bool(exceed) and min(box.upper[i] for i in exceed) >= max(box.lower)
+        _check(checks, "witness escapes inside the profile threshold", escapes)
         shared = box_hull_point(box, gens, scale.top)
         if shared is not None:
             point = scale.decode(shared)
             raise IntersectionError(f"box and hull share the point {point}", witness=point)
         found = exact_separator(box.lower, box.upper, gens, scale.top)
         x0 = None if found is None else found[0]
-        trace = data.get("trace")
-        if x0 is None and isinstance(trace, list) and any(isinstance(e, dict) and e.get("stage") == 4 for e in trace):
+        if x0 is None and 4 in stages:
             # the fallback ran: its extreme hemispace, which misses the box, must fail too
             M = frozenset(i for i, u in enumerate(box.upper) if u < scale.top)
             if all(map(semispace(HemispaceDescriptor(box.upper, M), scale.top), gens)):

@@ -246,6 +246,48 @@ def restart_scan_partition(lower, upper) -> list[tuple[int, frozenset[int], obje
     return stages
 
 
+def _unsort(perm, values) -> tuple:
+    """The point whose coordinate perm[q] is values[q]: undo a sort."""
+    coords = [0] * len(perm)
+    for o, v in zip(perm, values):
+        coords[o] = v
+    return tuple(coords)
+
+
+def prefix_max_profile(lower, upper) -> tuple[tuple[int, ...], int, int, tuple]:
+    """Reference upper profile, as (upper_perm, t, l, u): with upper bounds
+    sorted descending, ties by index, t is the last position whose upper
+    bound is ≥ the prefix maximum of the lower bounds there, l the first
+    position up to t holding that maximum, and u levels positions ≤ t at it
+    and keeps the upper bounds after t."""
+    n = len(lower)
+    perm = tuple(sorted(range(n), key=lambda o: (-upper[o], o)))
+    ups = [upper[o] for o in perm]
+    lows = [lower[o] for o in perm]
+    prefix_max = list(itertools.accumulate(lows, max))
+    t = next(p for p in range(n, 0, -1) if ups[p - 1] >= prefix_max[p - 1])
+    peak = prefix_max[t - 1]
+    l = next(p for p in range(1, t + 1) if lows[p - 1] == peak)
+    return perm, t, l, _unsort(perm, [peak] * t + ups[t:])
+
+
+def sorted_band_candidate(lower, upper, s: int, p: int) -> tuple:
+    """Reference x0 of the band-round candidate at lower-sorted position p
+    in the stage of threshold s, built on the sorted positions: ups[q] where
+    it is below lows[s - 1] (the earlier stages), else lows[q - 1] before p
+    and lows[p - 1] from p on."""
+    n = len(lower)
+    perm = sorted(range(n), key=lambda o: (-lower[o], o))
+    lows = [lower[o] for o in perm]
+    ups = [upper[o] for o in perm]
+    bound = lows[s - 1]
+    u_sorted = [
+        ups[q - 1] if ups[q - 1] < bound else (lows[q - 1] if q < p else lows[p - 1])
+        for q in range(1, n + 1)
+    ]
+    return _unsort(perm, u_sorted)
+
+
 def counting_format_scalar(p: int, q: int) -> str:
     """Reference scalar string of the reduced p/q: count the factors 2 and
     5 of q; if nothing else remains, p/q has max(twos, fives) decimals."""

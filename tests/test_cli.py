@@ -638,6 +638,52 @@ class TestVerify:
         failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
         assert failed == [{"check": "no grid semispace separates", "ok": False, "point": ["0.5", "1"]}]
 
+    def test_witness_may_escape_where_the_upper_bound_is_the_level(self, tmp_path, capsys):
+        # the witness (0.5, 1) escapes at coordinate 2, whose upper bound
+        # 0.75 equals the largest lower bound
+        instance = {
+            "dimension": 2,
+            "box": {"lower": ["0.5", "0.75"], "upper": ["1", "0.75"]},
+            "sets": {"C": [["0.5", "1"]]},
+        }
+        code, cert_path = self.emit_certificate(tmp_path, capsys, instance, extra=["--no-fallback"])
+        assert code == 2
+        assert json.loads(cert_path.read_text(encoding="utf-8"))["witness"] == ["0.5", "1"]
+        code, out, _ = run(capsys, ["verify", "-i", str(cert_path)])
+        assert code == 0
+        assert all(c["ok"] for c in json.loads(out)["checks"])
+
+    def with_trace(self, tmp_path, capsys, edit):
+        """The --no-fallback certificate of BLOCKED, its trace edited in place."""
+        _, cert_path = self.emit_certificate(tmp_path, capsys, BLOCKED, extra=["--no-fallback"])
+        data = json.loads(cert_path.read_text(encoding="utf-8"))
+        edit(data)
+        cert_path.write_text(json.dumps(data), encoding="utf-8")
+        return run(capsys, ["verify", "-i", str(cert_path)])
+
+    def test_an_added_stage_4_entry_asks_for_the_fallback_hemispace(self, tmp_path, capsys):
+        code, out, _ = self.with_trace(tmp_path, capsys, lambda data: data["trace"].append({"stage": 4}))
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [{"check": "no grid semispace separates", "ok": False, "point": ["1", "0.5"]}]
+
+    @pytest.mark.parametrize("stage", [4.0, "4", True, None])
+    def test_trace_stage_must_be_a_json_integer(self, tmp_path, capsys, stage):
+        edit = lambda data: data["trace"].append({"stage": stage})
+        expected = f"error: trace stage must be a JSON integer, got {stage!r}\n"
+        assert self.with_trace(tmp_path, capsys, edit) == (1, "", expected)
+
+    @pytest.mark.parametrize("trace", [{"stage": 4}, "4", [4], [{"stage": 2}, [{"stage": 4}]]])
+    def test_trace_must_be_a_list_of_objects(self, tmp_path, capsys, trace):
+        edit = lambda data: data.update(trace=trace)
+        expected = "error: certificate trace must be a list of objects\n"
+        assert self.with_trace(tmp_path, capsys, edit) == (1, "", expected)
+
+    @pytest.mark.parametrize("edit", [lambda data: data.update(trace=None), lambda data: data.pop("trace")])
+    def test_null_or_missing_trace_records_no_stage(self, tmp_path, capsys, edit):
+        code, out, _ = self.with_trace(tmp_path, capsys, edit)
+        assert code == 0 and json.loads(out)["valid"] is True
+
     @pytest.mark.parametrize("instance, extra", [(BLOCKED, ["--no-fallback"]), (SEPARABLE, [])])
     def test_grid_is_validated_on_both_paths(self, tmp_path, capsys, instance, extra):
         _, cert_path = self.emit_certificate(tmp_path, capsys, instance, extra=extra)

@@ -1,5 +1,6 @@
 """What a launch loads: the package exports lazily, and each subcommand
-imports only the modules it runs."""
+imports only the modules it runs; and what the referee imports."""
+import ast
 import json
 import os
 import subprocess
@@ -107,3 +108,20 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'maxminsep' has no attribute 'separate'"):
         maxminsep.separate
     assert not hasattr(maxminsep, "assert_nonseparable")
+
+
+def test_referee_imports_from_the_library_only_what_it_does_not_check():
+    # verify may take the outcome names from separation and, of the kernels
+    # it referees, only the box–hull test it still shares with convex
+    allowed = {"separation": {"HEMISPACE", "NOT_SEPARABLE", "SEMISPACE"}, "convex": {"box_hull_point"}}
+    tree = ast.parse((Path(SRC) / "maxminsep" / "verify.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {a.name.rpartition(".")[2] for a in node.names} & set(allowed)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            names = {a.name for a in node.names}
+            if module in allowed:
+                assert names <= allowed[module], (module, names - allowed[module])
+            elif module in ("", "maxminsep"):
+                assert not names & set(allowed), names

@@ -42,7 +42,9 @@ from helpers import (
     grid_scale,
     gset,
     pt,
+    prefix_max_profile,
     restart_scan_partition,
+    sorted_band_candidate,
 )
 
 coord6 = st.integers(min_value=0, max_value=6).map(lambda k: Fraction(k, 6))
@@ -71,33 +73,42 @@ def gsets(n, coord=coord6, max_gens=3):
 class TestBoxProfile:
     def test_worked_example(self):
         profile = box_profile(box("0.2,0.6,0.1", "0.9,0.7,0.3"))
-        assert profile.upper_perm == (0, 1, 2)
-        assert profile.t == 2
-        assert profile.l == 2
+        assert profile.coordinate == 1
         assert profile.u == pt("0.6,0.6,0.3")
 
-    def test_point_box_threshold_is_leading_block(self):
-        assert box_profile(box("0.6,0.3", "0.6,0.3")).t == 1
-        assert box_profile(box("0.5,0.5", "0.5,0.5")).t == 2
-        profile = box_profile(box("0.6,0.3", "0.6,0.3"))
-        assert profile.l == 1 and profile.u == pt("0.6,0.3")
+    def test_point_box_is_its_own_level(self):
+        for spec in ("0.6,0.3", "0.5,0.5"):
+            profile = box_profile(box(spec, spec))
+            assert profile.coordinate == 0
+            assert profile.u == pt(spec)
+
+    def test_level_ties_go_to_the_larger_upper_bound(self):
+        # both coordinates carry the largest lower bound; the upper bounds
+        # sorted descending put coordinate 1 first
+        assert box_profile(box("0.5,0.5", "0.6,0.9")).coordinate == 1
+
+    def test_matches_the_prefix_max_scan_on_small_rank_boxes(self):
+        # every rank box with n <= 4 and ranks 0..4: 15 (lower, upper) pairs
+        # per coordinate
+        pairs = [(a, b) for b in range(5) for a in range(b + 1)]
+        checked = 0
+        for n in range(1, 5):
+            for coords in itertools.product(pairs, repeat=n):
+                lower, upper = (tuple(c) for c in zip(*coords))
+                profile = separation.upper_profile(RankBox(lower, upper))
+                perm, t, l, u = prefix_max_profile(lower, upper)
+                assert profile.u == u, (lower, upper)
+                assert profile.coordinate == perm[l - 1], (lower, upper)
+                assert set(perm[:t]) == {i for i in range(n) if upper[i] >= max(lower)}, (lower, upper)
+                checked += 1
+        assert checked == 54_240
 
     @given(boxes(4))
-    def test_threshold_and_level_properties(self, B):
+    def test_matches_the_prefix_max_scan(self, B):
         profile = box_profile(B)
-        perm = profile.upper_perm
-        ups = [B.upper[o] for o in perm]
-        lows = [B.lower[o] for o in perm]
-        t = profile.t
-        assert all(ups[t - 1] >= lows[q] for q in range(t))
-        for p in range(t + 1, 5):
-            assert ups[p - 1] < max(lows[:p])
-        # the levelled point u tops out exactly at the dominant lower bound
-        assert max(profile.u) == lows[profile.l - 1]
-        assert lows[profile.l - 1] == max(lows[:t])
-        for p in range(1, 5):
-            expected = lows[profile.l - 1] if p <= t else ups[p - 1]
-            assert profile.u[perm[p - 1]] == expected
+        perm, _, l, u = prefix_max_profile(B.lower, B.upper)
+        assert (profile.coordinate, profile.u) == (perm[l - 1], Point(u))
+        assert isinstance(profile.u, Point)
 
 
 class TestLowerPartition:
@@ -284,11 +295,10 @@ class TestSeparateBoxProperties:
             y = cert.witness
             assert hull_contains(C, y)
             assert B.lower <= y
-            profile = box_profile(B)
-            pos_of = {o: p for p, o in enumerate(profile.upper_perm, start=1)}
+            perm, t, _, _ = prefix_max_profile(B.lower, B.upper)
             exceed = [i for i in range(n) if y[i] > B.upper[i]]
             assert exceed
-            assert all(pos_of[i] <= profile.t for i in exceed)
+            assert set(exceed) <= set(perm[:t])
         assert checked >= 20
 
     @given(boxes(3), gsets(3))
@@ -384,6 +394,24 @@ class TestBandRounds:
             assert all(thresholds[k] <= p < ends[k] for p in positions)
             ks.append(k)
         assert all(a < b for a, b in zip(ks, ks[1:]))
+
+    @example((12, RankBox((8, 7, 7, 5), (8, 7, 10, 6)), ((5, 9, 10, 2), (7, 11, 10, 9), (1, 0, 10, 11), (1, 1, 6, 3))))
+    @given(rank_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_match_the_sorted_construction(self, case):
+        d, box, gens = case
+        assume(box_hull_point(box, gens, d) is None)
+        cert = separation.separate(grid_scale(d), box, gens, with_fallback=False)
+        part = separation.lower_partition(box)
+        thresholds: dict[int, int] = {}
+        band_entries = [e for e in cert.trace if e.stage == 3]
+        target(float(len(band_entries)))
+        for e in band_entries:
+            # a round tries its failing positions right to left, so its
+            # first entry sits at the rightmost one, which picks the stage
+            s = thresholds.setdefault(e.iteration, next(st.s for st in part.stages if st.s <= e.position))
+            assert e.candidate.x0 == sorted_band_candidate(box.lower, box.upper, s, e.position)
+            assert e.candidate.coordinate == part.lower_perm[e.position - 1]
 
 
 class TestCheckSepCond:
