@@ -211,25 +211,27 @@ MUTANTS = (
     # round's positions
     Mutant(
         "partition-counts-equal-bounds", "separation.py",
-        "bisect_right(ascending, box.upper[o])", "bisect_left(ascending, box.upper[o])",
-        "a position's threshold also counts the lower bounds equal to its upper bound",
+        "l > level", "l >= level",
+        "a stage's threshold also counts the lower bounds equal to its level",
         (
             "tests/test_separation.py::TestLowerPartition::test_matches_the_restart_scan_on_small_rank_boxes",
+            "tests/test_separation.py::TestBand::test_matches_the_restart_scan_on_small_rank_boxes",
             "tests/test_separation.py::TestLowerPartition::test_level_property",
         ),
     ),
     Mutant(
         "band-lookup-strict", "separation.py",
-        "st.s <= failing[-1])", "st.s < failing[-1])",
-        "a round whose rightmost failing position is its stage's threshold reads the next stage",
+        "u >= lows[f - 1]", "u > lows[f - 1]",
+        "a round skips the upper bounds equal to the lower bound at its rightmost failing position",
         (
+            "tests/test_separation.py::TestBand::test_matches_the_restart_scan_on_small_rank_boxes",
             "tests/test_separation.py::TestBandRounds",
             "tests/test_oracle.py::TestExactSeparator::test_separable_iff_the_pipeline_finds_a_semispace",
         ),
     ),
     Mutant(
         "band-prior-holds-the-threshold-bound", "separation.py",
-        "u if u < stage.level else", "u if u <= stage.level else",
+        "u if u < level else", "u if u <= level else",
         "a round's candidates also watch the coordinates of its own stage whose upper bound is its level",
         (
             "tests/test_separation.py::TestSeparateBoxProperties::test_agrees_with_brute_search",
@@ -238,7 +240,7 @@ MUTANTS = (
     ),
     Mutant(
         "band-filter-skips-threshold", "separation.py",
-        "if q >= stage.s]", "if q > stage.s]",
+        "if q >= s]", "if q > s]",
         "a round never tries the failing position at its stage's threshold",
         (
             "tests/test_separation.py::TestSeparateBoxProperties::test_trace_is_orderly",

@@ -19,15 +19,14 @@ defensively: containment of the set and emptiness against the box.  A
 broken invariant raises InternalError naming the stage and the number of
 sweeps traced so far.
 
-separate, upper_profile and lower_partition are the algorithms, on tuples of
-any ordered scalars with a given top (see core); separate_box and box_profile
-run them on the exact coordinates with top 1.
+separate, upper_profile and band are the algorithms, on tuples of any
+ordered scalars with a given top (see core); lower_partition lists the
+stages band picks from; separate_box and box_profile run them on the exact
+coordinates with top 1.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .core import (
     EXACT,
@@ -64,22 +63,6 @@ class BoxProfile:
 
     coordinate: int
     u: Point | Ranks
-
-
-@dataclass(frozen=True)
-class PartitionStage:
-    """One stage of the lower-bound partition: threshold position s,
-    member positions (1-based, in lower-sorted order) and level a."""
-
-    s: int
-    members: frozenset[int]
-    level: Fraction | int
-
-
-@dataclass(frozen=True)
-class PartitionProfile:
-    lower_perm: tuple[int, ...]
-    stages: tuple[PartitionStage, ...]
 
 
 @dataclass(frozen=True)
@@ -125,35 +108,39 @@ def upper_profile(box: Box | RankBox) -> BoxProfile:
     return BoxProfile(coordinate, tuple(min(v, peak) for v in box.upper))
 
 
-def lower_partition(box: Box | RankBox) -> PartitionProfile:
-    """Partition the lower-sorted positions into stages of one level each.
+def band(lows, upper, f):
+    """The stage (s, level) of the lower partition with the largest
+    threshold s ≤ f, lows the lower bounds sorted descending: the stage of
+    a band round whose rightmost failing position is f.
 
-    With lower bounds sorted descending, position q joins the stage of
-    threshold s = 1 + c, c the number of lower bounds above ups[q]; stages
-    are listed by threshold, descending, down to 1.  A stage's level is the
-    least upper bound among its members, and it lies inside [lower, upper]
-    of every position ≥ s of its own or a later stage.
+    Position q lies in stage 1 + #{l > ups[q]}, levelled at the least upper
+    bound of its members.  The threshold 1 + #{l > u} does not increase as u
+    grows, and u < lows[f - 1] has positions 1..f above it, so threshold
+    ≥ f + 1: the thresholds ≤ f come exactly from the u ≥ lows[f - 1], the
+    largest from the least of them, u* (position f's own qualifies).  A
+    member of that stage s ≤ f has upper bound ≥ lows[s - 1] ≥ lows[f - 1],
+    so ≥ u*, and u* is a member: the level is u*.
+    """
+    level = min(u for u in upper if u >= lows[f - 1])
+    return 1 + sum(l > level for l in lows), level
+
+
+def lower_partition(box: Box | RankBox) -> tuple[tuple[int, object], ...]:
+    """The stages (s, level) of the lower partition, by threshold, descending
+    down to 1: each stage s is band(lows, upper, s), its own threshold being
+    the largest ≤ s, so the stages are the distinct bands.
 
     This is the partition of the right-to-left scan that takes, stage by
     stage, the smallest s whose lower bound fits under every unplaced upper
-    bound from s on, and places the unplaced positions ≥ s whose upper
-    bound is below lows[s - 1] (all of them once s = 1).  The lower bounds
-    above ups[q] are exactly positions 1..c, all before q, because the
-    lower bounds descend and lows[q] ≤ ups[q].  The scan leaves q unplaced
-    until it reaches the threshold s whose position s - 1 holds the last
-    lower bound above ups[q], so s - 1 = c.  Position 1 always lands at s = 1.
+    bound from s on, and places the unplaced positions ≥ s whose upper bound
+    is below lows[s - 2] (all of them once s = 1).  The lower bounds above
+    ups[q] are positions 1..c, all before q, as q's own is ≤ ups[q], so the
+    scan places q at the threshold s = 1 + c, the stage band gives it.
     """
-    perm = descending_order(box.lower)
     if any(l > u for l, u in zip(box.lower, box.upper)):
         raise InternalError("lower partition needs every lower bound at most its upper bound")
-    ascending = sorted(box.lower)
-    members: dict[int, list[int]] = {}
-    for q, o in enumerate(perm, start=1):
-        members.setdefault(len(perm) + 1 - bisect_right(ascending, box.upper[o]), []).append(q)
-    return PartitionProfile(perm, tuple(
-        PartitionStage(s, frozenset(qs), min(box.upper[perm[q - 1]] for q in qs))
-        for s, qs in sorted(members.items(), reverse=True)
-    ))
+    lows = sorted(box.lower, reverse=True)
+    return tuple(sorted({band(lows, box.upper, f) for f in range(1, len(lows) + 1)}, reverse=True))
 
 
 def separate(
@@ -167,16 +154,15 @@ def separate(
     levelled at the dominant lower bound of the box profile; then, round by
     round, per failing lower-sorted position of one band (largest first)
     the semispace whose clause set is the union of the earlier partition
-    stages.  A round's band is [s_k, s_(k-1)) of the first stage k whose
-    threshold s_k is ≤ the rightmost failing position; the thresholds of
-    lower_partition fall strictly to 1, so the bands tile positions 1..n
-    right to left.  Every failed sweep returns a generator, and the join of
-    the stage-level meets of those generators with the running witness
-    pushes the witness above the box lower bounds on the whole band, so the
-    failing band moves strictly left each round and the total number of
-    sweeps stays ≤ n+1 (hemispace fallback included: positions where the
-    witness beats the upper bound are never tried).  Raises
-    IntersectionError when box and hull share a point.
+    stages.  A round's stage (s, λ) is band of its rightmost failing
+    position f, so s ≤ f, and the round tries the failing positions from s
+    to f.  Every failed sweep returns a generator, and the join of the
+    λ-meets of those generators with the running witness pushes the witness
+    above the box lower bounds on positions s..f, so the next round's
+    rightmost failing position lies below s and the total number of sweeps
+    stays ≤ n+1 (hemispace fallback included: positions where the witness
+    beats the upper bound are never tried).  Raises IntersectionError when
+    box and hull share a point.
 
     The candidate at lower-sorted position p in stage s, of level λ, has
     x0_o = upper_o if upper_o < λ else max(lower_o, lows[p - 1]), lows the
@@ -220,8 +206,7 @@ def separate(
     if y is None:
         return done(SEMISPACE, S)
 
-    part = lower_partition(box)
-    perm = part.lower_perm
+    perm = descending_order(lower)
     lows = [lower[o] for o in perm]
 
     # at most one round per partition stage, plus the round that sees no
@@ -230,16 +215,16 @@ def separate(
         failing = [p for p in range(1, n + 1) if y[perm[p - 1]] < lows[p - 1]]
         if not failing:
             break
-        stage = next(st for st in part.stages if st.s <= failing[-1])
+        s, level = band(lows, upper, failing[-1])
         witnesses = []
-        for p in [q for q in reversed(failing) if q >= stage.s]:
-            x0 = tuple(u if u < stage.level else max(l, lows[p - 1]) for l, u in zip(lower, upper))
+        for p in [q for q in reversed(failing) if q >= s]:
+            x0 = tuple(u if u < level else max(l, lows[p - 1]) for l, u in zip(lower, upper))
             S = SemispaceDescriptor(x0, perm[p - 1])
             w = sweep(S, stage=3, iteration=iteration, position=p)
             if w is None:
                 return done(SEMISPACE, S)
             witnesses.append(w)
-        y = join_ranks([y, *(meet_ranks(stage.level, w) for w in witnesses)])
+        y = join_ranks([y, *(meet_ranks(level, w) for w in witnesses)])
     else:
         raise fault("separation loop exceeded the dimension bound", 3)
 

@@ -131,8 +131,7 @@ def read_box(data, table: ScalarTable) -> tuple[tuple[str, ...], tuple[str, ...]
     if not isinstance(data, dict) or set(data) != {"lower", "upper"}:
         raise ParseError(f"box must be an object with lower and upper, got {data!r}")
     lower, upper = table.point(data["lower"]), table.point(data["upper"])
-    if len(lower) != len(upper):
-        raise DimensionError(f"mixed dimensions: {sorted({len(lower), len(upper)})}")
+    at_dimension(len(lower), upper)
     parsed = table.parsed
     if any(p * s > r * q for (p, q), (r, s) in ((parsed[a], parsed[b]) for a, b in zip(lower, upper))):
         raise ParseError(f"box lower bound {table.decode(lower)} exceeds upper bound {table.decode(upper)}")

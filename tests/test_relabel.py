@@ -164,9 +164,8 @@ def test_box_functions_match_their_kernels_on_ranks(data, n, pinned):
         assert answer(separate_box, B, C, with_fallback=fallback) == answer(separate_on_ranks, s, ranked, gens, fallback)
     profile = upper_profile(ranked)
     assert box_profile(B) == replace(profile, u=s.decode(profile.u))
-    part = lower_partition(ranked)
-    stages = tuple(replace(stage, level=Fraction(*s.pairs[stage.level])) for stage in part.stages)
-    assert lower_partition(B) == replace(part, stages=stages)
+    stages = tuple((t, Fraction(*s.pairs[level])) for t, level in lower_partition(ranked))
+    assert lower_partition(B) == stages
 
 
 @settings(max_examples=150, deadline=None)

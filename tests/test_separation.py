@@ -111,54 +111,87 @@ class TestBoxProfile:
         assert isinstance(profile.u, Point)
 
 
+def lower_sorted(lower, upper):
+    """The lower-sorted order, ties by index, with the bounds in it."""
+    perm = sorted(range(len(lower)), key=lambda o: (-lower[o], o))
+    return perm, [lower[o] for o in perm], [upper[o] for o in perm]
+
+
+def small_rank_boxes():
+    """Every rank box with n <= 4 and ranks 0..3: 10 (lower, upper) pairs
+    per coordinate, 11,110 boxes."""
+    pairs = [(a, b) for b in range(4) for a in range(b + 1)]
+    for n in range(1, 5):
+        for coords in itertools.product(pairs, repeat=n):
+            yield tuple(tuple(c) for c in zip(*coords))
+
+
 class TestLowerPartition:
     def test_worked_example(self):
         part = lower_partition(box("0.7,0.5,0.5,0.2", "1,0.6,0.9,0.4"))
-        assert part.lower_perm == (0, 1, 2, 3)
-        got = [(s.s, sorted(s.members), s.level) for s in part.stages]
-        assert got == [
-            (4, [4], Fraction(2, 5)),
-            (2, [2], Fraction(3, 5)),
-            (1, [1, 3], Fraction(9, 10)),
-        ]
+        assert part == ((4, Fraction(2, 5)), (2, Fraction(3, 5)), (1, Fraction(9, 10)))
 
     def test_matches_the_restart_scan_on_small_rank_boxes(self):
-        # every rank box with n <= 4 and ranks 0..3: 10 (lower, upper) pairs
-        # per coordinate
-        pairs = [(a, b) for b in range(4) for a in range(b + 1)]
         checked = 0
-        for n in range(1, 5):
-            for coords in itertools.product(pairs, repeat=n):
-                lower, upper = (tuple(c) for c in zip(*coords))
-                part = lower_partition(RankBox(lower, upper))
-                got = [(st.s, st.members, st.level) for st in part.stages]
-                assert got == restart_scan_partition(lower, upper), (lower, upper)
-                checked += 1
+        for lower, upper in small_rank_boxes():
+            expected = tuple((s, level) for s, _, level in restart_scan_partition(lower, upper))
+            assert lower_partition(RankBox(lower, upper)) == expected, (lower, upper)
+            checked += 1
         assert checked == 11_110
 
     @given(boxes(4))
     def test_stages_partition_the_positions(self, B):
+        reference = restart_scan_partition(B.lower, B.upper)
+        assert sorted(p for _, members, _ in reference for p in members) == [1, 2, 3, 4]
         part = lower_partition(B)
-        seen = sorted(p for s in part.stages for p in s.members)
-        assert seen == [1, 2, 3, 4]
-        thresholds = [s.s for s in part.stages]
+        assert part == tuple((s, level) for s, _, level in reference)
+        thresholds = [s for s, _ in part]
         assert thresholds[-1] == 1
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
 
     @given(boxes(4))
     def test_level_property(self, B):
         # each stage level fits between lower and upper bound of every
-        # position still unassigned when the stage forms
-        part = lower_partition(B)
-        perm = part.lower_perm
-        lows = [B.lower[o] for o in perm]
-        ups = [B.upper[o] for o in perm]
+        # position still unassigned when the stage forms; the members come
+        # from the restart-scan reference
+        _, lows, ups = lower_sorted(B.lower, B.upper)
         remaining = set(range(1, 5))
-        for stage in part.stages:
+        reference = restart_scan_partition(B.lower, B.upper)
+        for (s, level), (_, members, _) in zip(lower_partition(B), reference, strict=True):
             for p in remaining:
-                if p >= stage.s:
-                    assert lows[p - 1] <= stage.level <= ups[p - 1]
-            remaining -= stage.members
+                if p >= s:
+                    assert lows[p - 1] <= level <= ups[p - 1]
+            remaining -= members
+
+
+class TestBand:
+    def test_matches_the_restart_scan_on_small_rank_boxes(self):
+        # a round whose rightmost failing position is f reads the stage of
+        # the largest threshold <= f
+        checked = 0
+        for lower, upper in small_rank_boxes():
+            _, lows, _ = lower_sorted(lower, upper)
+            reference = restart_scan_partition(lower, upper)
+            for f in range(1, len(lower) + 1):
+                s, _, level = next(stage for stage in reference if stage[0] <= f)
+                assert separation.band(lows, upper, f) == (s, level), (lower, upper, f)
+            checked += 1
+        assert checked == 11_110
+
+    def test_separate_never_calls_lower_partition(self, monkeypatch):
+        calls = []
+
+        def counting(box):
+            calls.append(box)
+            return lower_partition(box)
+
+        monkeypatch.setattr(separation, "lower_partition", counting)
+        # an instance that runs three band rounds (tests/test_sweep_bound.py)
+        box = RankBox((8, 7, 7, 5), (8, 7, 10, 6))
+        gens = ((5, 9, 10, 2), (7, 11, 10, 9), (1, 0, 10, 11), (1, 1, 6, 3))
+        cert = separation.separate(grid_scale(12), box, gens)
+        assert {e.iteration for e in cert.trace if e.stage == 3} == {1, 2, 3}
+        assert calls == []
 
 
 class TestSeparateBoxExamples:
@@ -369,7 +402,7 @@ class TestBandRounds:
     @settings(max_examples=200, deadline=None)
     def test_thresholds_fall_strictly_to_one(self, case):
         _, box, _ = case
-        thresholds = [stage.s for stage in separation.lower_partition(box).stages]
+        thresholds = [s for s, _ in separation.lower_partition(box)]
         assert thresholds[-1] == 1
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
 
@@ -386,7 +419,7 @@ class TestBandRounds:
             if e.stage == 3:
                 rounds.setdefault(e.iteration, []).append(e.position)
         target(float(len(rounds)))
-        thresholds = [stage.s for stage in separation.lower_partition(box).stages]
+        thresholds = [s for s, _ in separation.lower_partition(box)]
         ends = [len(box.lower) + 1, *thresholds]  # ends[k] closes the band of stage k
         ks = []
         for _, positions in sorted(rounds.items()):
@@ -403,15 +436,16 @@ class TestBandRounds:
         assume(box_hull_point(box, gens, d) is None)
         cert = separation.separate(grid_scale(d), box, gens, with_fallback=False)
         part = separation.lower_partition(box)
+        perm, _, _ = lower_sorted(box.lower, box.upper)
         thresholds: dict[int, int] = {}
         band_entries = [e for e in cert.trace if e.stage == 3]
         target(float(len(band_entries)))
         for e in band_entries:
             # a round tries its failing positions right to left, so its
             # first entry sits at the rightmost one, which picks the stage
-            s = thresholds.setdefault(e.iteration, next(st.s for st in part.stages if st.s <= e.position))
+            s = thresholds.setdefault(e.iteration, next(s for s, _ in part if s <= e.position))
             assert e.candidate.x0 == sorted_band_candidate(box.lower, box.upper, s, e.position)
-            assert e.candidate.coordinate == part.lower_perm[e.position - 1]
+            assert e.candidate.coordinate == perm[e.position - 1]
 
 
 class TestCheckSepCond:
